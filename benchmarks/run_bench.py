@@ -168,7 +168,6 @@ _DISPATCH_KERNEL_FLOOR = 0.8
 _ALL_CACHES_OFF = {
     "use_digamma_table": False,
     "use_sorted_marginals": False,
-    "workspace_cache_size": 0,
 }
 
 #: (row label, batched scoring?, config overrides) per scoring ablation.
@@ -177,7 +176,6 @@ _SCORING_VARIANTS: List[Tuple[str, bool, Dict[str, Any]]] = [
     ("scalar", False, {}),
     ("batched_no_digamma", True, {"use_digamma_table": False}),
     ("batched_no_sorted_marginals", True, {"use_sorted_marginals": False}),
-    ("batched_no_workspace_cache", True, {"workspace_cache_size": 0}),
     ("batched", True, {}),
 ]
 

@@ -60,21 +60,12 @@ class TycosConfig:
             way; the switch exists so benchmarks can measure the table
             against direct scipy calls.  Memory: one float64 per integer
             ever seen (rounded up to a power of two), shared process-wide.
-        use_sorted_marginals: reuse presorted marginal projections for
-            KSG marginal counts -- the workspace's cached union argsort in
-            batched scoring, the incrementally maintained
-            :class:`repro.mi.neighbors.MarginalIndex` in the sliding engine
-            (Lemmas 5/6) -- instead of re-sorting both axes per estimate.
-            Counts are exactly equal either way.  Memory: two sorted
-            float64 copies of each live union span / engine window.
-        workspace_cache_size: number of per-delay
-            :class:`repro.mi.neighbors.PairDistanceWorkspace` entries a
-            batched scorer keeps in its LRU, so LAHC iterations revisiting
-            a delay reuse the O(u^2) distance broadcasts instead of
-            rebuilding them.  0 disables the cache (a workspace is still
-            built per cluster, as before).  Memory per entry is
-            O(u^2) float64 for the cached span, so the bound matters on
-            big inputs; 8 covers a typical LAHC delay trajectory.
+        use_sorted_marginals: reuse the incrementally maintained
+            :class:`repro.mi.neighbors.MarginalIndex` projections of the
+            sliding engine (Lemmas 5/6) for KSG marginal counts instead of
+            re-sorting both axes per estimate.  Counts are exactly equal
+            either way.  Memory: two sorted float64 copies of the live
+            engine window.
         n_segments: number of timeline segments a single-pair search is
             sharded into (:mod:`repro.analysis.segmented`).  1 (the
             default) keeps the classic whole-series restart loop; larger
@@ -173,7 +164,6 @@ class TycosConfig:
     cache_capacity: int = 100_000
     use_digamma_table: bool = True
     use_sorted_marginals: bool = True
-    workspace_cache_size: int = 8
     n_segments: int = 1
     segment_margin: Optional[int] = None
     coarse_factor: int = 1
@@ -224,10 +214,6 @@ class TycosConfig:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         if self.cache_capacity < 1:
             raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
-        if self.workspace_cache_size < 0:
-            raise ValueError(
-                f"workspace_cache_size must be >= 0, got {self.workspace_cache_size}"
-            )
         if self.n_segments < 1:
             raise ValueError(f"n_segments must be >= 1, got {self.n_segments}")
         if self.segment_margin is not None and self.segment_margin < 0:

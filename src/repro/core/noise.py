@@ -21,7 +21,7 @@ makes the combined window worse.  TYCOS_LN applies the test twice:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import Optional, Set, Tuple
 
 from repro.core.config import TycosConfig
 from repro.core.neighborhood import Direction, Neighbor
@@ -29,6 +29,9 @@ from repro.core.thresholds import BatchScorer
 from repro.core.window import TimeDelayWindow
 
 __all__ = ["is_noise", "find_initial_window", "NoiseDetector"]
+
+#: A growth direction with its extension segment and the concatenation.
+_Probe = Tuple[Direction, TimeDelayWindow, TimeDelayWindow]
 
 
 def is_noise(
@@ -62,14 +65,17 @@ def _best_block_over_delays(
 
     Algorithm 1 seeds at delay 0 only; probing a coarse delay grid at each
     candidate start is the implementation choice that makes distant delay
-    basins reachable (see ``TycosConfig.init_delay_step``).
+    basins reachable (see ``TycosConfig.init_delay_step``).  The blocks all
+    have ``s_min`` samples, so one ``value_many`` call scores the whole
+    grid in a single stacked pass; ties keep the first (lowest-grid) block.
     """
-    best: Optional[tuple[TimeDelayWindow, float]] = None
+    blocks: list[TimeDelayWindow] = []
     for tau in config.delay_grid():
         block = _feasible_or_none(pos, pos + config.s_min - 1, tau, n)
-        if block is None:
-            continue
-        value = scorer.value(block)
+        if block is not None:
+            blocks.append(block)
+    best: Optional[tuple[TimeDelayWindow, float]] = None
+    for block, value in zip(blocks, scorer.value_many(blocks)):
         if best is None or value > best[1]:
             best = (block, value)
     return best
@@ -206,42 +212,46 @@ class NoiseDetector:
         if window_value <= 0.0:
             return
         blk = max(self.config.delta, self.config.s_min)
-        self._inspect_forward(window, window_value, blk)
-        self._inspect_backward(window, window_value, blk)
+        probes = [
+            probe
+            for probe in (self._forward_probe(window, blk), self._backward_probe(window, blk))
+            if probe is not None
+        ]
+        # Both segments have blk samples and both concatenations
+        # window.size + blk, so one batch scores all four in two passes.
+        values = self.scorer.value_many([w for _, seg, concat in probes for w in (seg, concat)])
+        for (direction, _, _), seg_value, concat_value in zip(probes, values[::2], values[1::2]):
+            if is_noise(seg_value, concat_value, window_value, self.config.epsilon):
+                self.blocked.add(direction)
+                self.prunes += 1
 
-    def _inspect_forward(self, window: TimeDelayWindow, value: float, blk: int) -> None:
+    def _forward_probe(self, window: TimeDelayWindow, blk: int) -> Optional[_Probe]:
+        """Growth along +end: the segment ``[end+1, end+blk]`` and the
+        concatenation, or None when blocked already or infeasible."""
         direction: Direction = (0, 1, 0)
         if direction in self.blocked:
-            return
-        seg_end = window.end + blk
-        segment = _feasible_or_none(window.end + 1, seg_end, window.delay, self.n)
+            return None
+        segment = _feasible_or_none(window.end + 1, window.end + blk, window.delay, self.n)
         if segment is None:
-            return
+            return None
         concat = TimeDelayWindow(window.start, segment.end, window.delay)
         if concat.size > self.config.s_max or concat.y_end >= self.n:
-            return
-        seg_value = self.scorer.value(segment)
-        concat_value = self.scorer.value(concat)
-        if is_noise(seg_value, concat_value, value, self.config.epsilon):
-            self.blocked.add(direction)
-            self.prunes += 1
+            return None
+        return direction, segment, concat
 
-    def _inspect_backward(self, window: TimeDelayWindow, value: float, blk: int) -> None:
+    def _backward_probe(self, window: TimeDelayWindow, blk: int) -> Optional[_Probe]:
+        """Growth along -start: the segment ``[start-blk, start-1]`` and the
+        concatenation, or None when blocked already or infeasible."""
         direction: Direction = (-1, 0, 0)
         if direction in self.blocked:
-            return
-        seg_start = window.start - blk
-        segment = _feasible_or_none(seg_start, window.start - 1, window.delay, self.n)
+            return None
+        segment = _feasible_or_none(window.start - blk, window.start - 1, window.delay, self.n)
         if segment is None:
-            return
+            return None
         concat = TimeDelayWindow(segment.start, window.end, window.delay)
         if concat.size > self.config.s_max or concat.y_start < 0:
-            return
-        seg_value = self.scorer.value(segment)
-        concat_value = self.scorer.value(concat)
-        if is_noise(seg_value, concat_value, value, self.config.epsilon):
-            self.blocked.add(direction)
-            self.prunes += 1
+            return None
+        return direction, segment, concat
 
 
 def _feasible_or_none(start: int, end: int, delay: int, n: int) -> Optional[TimeDelayWindow]:

@@ -9,8 +9,12 @@ score:
   warm and evaluates each window as a diff against the previously evaluated
   one (Section 7; what TYCOS_LM / TYCOS_LMN use).
 
-Both memoize by window identity, because LAHC revisits windows across
-neighborhood expansions.  The module also hosts :class:`TopKFilter`, the
+Both score a batch of windows -- an LAHC delta-ring, or a seeding block
+over the whole delay grid -- through :func:`repro.mi.batch.ksg_batch`,
+which stacks the equal-size windows of any delay into one numpy pass and
+returns the same floats as scoring them one by one.  Both memoize by
+window identity, because LAHC revisits windows across neighborhood
+expansions.  The module also hosts :class:`TopKFilter`, the
 Section 6.3.2 alternative to a fixed sigma.
 """
 
@@ -28,19 +32,14 @@ from repro._types import FloatArray, WindowKey
 from repro.core.config import TycosConfig
 from repro.core.window import PairView, TimeDelayWindow
 from repro.mi.backends.dispatch import get_kernels
+from repro.mi.batch import ksg_batch
 from repro.mi.digamma import shared_digamma_table
 from repro.mi.entropy import binned_joint_entropy
-from repro.mi.ksg import KSGEstimator
 from repro.mi.incremental import SlidingKSG
-from repro.mi.neighbors import PairDistanceWorkspace
+from repro.mi.ksg import KSGEstimator
 from repro.mi.normalized import normalize_ratio, normalize_value
 
 __all__ = ["WindowScore", "BatchScorer", "IncrementalScorer", "TopKFilter", "make_scorer"]
-
-#: Widest union span (samples) a single shared distance workspace may
-#: cover; wider same-delay clusters are split, because the O(u^2) union
-#: broadcast must stay comparable to the windows it amortizes.
-_UNION_SPAN_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,13 @@ class WindowScore:
 class BatchScorer:
     """Scores windows by running the KSG estimator from scratch each time.
 
+    A single window (:meth:`score`) goes through the scalar estimator
+    (:meth:`repro.mi.ksg.KSGEstimator.mi` plus
+    :func:`repro.mi.entropy.binned_joint_entropy`).  A batch
+    (:meth:`score_many`) goes through :func:`repro.mi.batch.ksg_batch`,
+    which scores equal-size windows of any delay in one stacked numpy
+    pass; its floats are bit-identical to the scalar path.
+
     The memo table is a capped LRU (``config.cache_capacity``): long
     multi-restart searches revisit mostly recent windows, so bounding the
     table costs no meaningful hit rate while keeping memory flat.
@@ -69,33 +75,26 @@ class BatchScorer:
     Attributes:
         evaluations: number of windows whose MI was actually computed.
         cache_hits: number of scores served from the memo table.
-        workspace_builds: number of shared distance workspaces constructed
-            for batched clusters.
-        workspace_hits: number of clusters served from the per-delay
-            workspace LRU (``config.workspace_cache_size``).
+        workspace_builds: number of stacked passes run by batched scoring
+            (one per window size per batch, more when a size group is
+            split into memory-bounded chunks).
+        workspace_hits: number of batched windows that shared a stacked
+            pass with an earlier window of the same pass, so
+            ``workspace_builds + workspace_hits`` windows were batch-scored.
     """
 
     def __init__(self, pair: PairView, config: TycosConfig) -> None:
         self._pair = pair
         self._config = config
-        # None for the default engine (legacy numpy paths, untouched);
-        # otherwise the canonical backend suite serves the hot kernels
-        # and the delta-ring lattice runs through the fused cluster
-        # kernel instead of the Python-side workspace machinery.
+        # None for the default engine (numpy paths); otherwise the
+        # canonical backend suite serves the hot kernels and batches run
+        # through the fused cluster kernel instead of ksg_batch.
         self._kernels = get_kernels(config.backend, config.precision)
         self._estimator = KSGEstimator(
             k=config.k, use_digamma_table=config.use_digamma_table, kernels=self._kernels
         )
         self._cache: "OrderedDict[WindowKey, WindowScore]" = OrderedDict()
         self._cache_capacity = config.cache_capacity
-        # Per-delay workspace LRU: delay -> (span_lo, span_hi, workspace).
-        # LAHC trajectories revisit the same delay across iterations, so a
-        # cluster whose span fits inside a cached union reuses the O(u^2)
-        # distance broadcasts (principal submatrices are exact, so the
-        # containing span changes nothing about any window's geometry).
-        self._workspaces: "OrderedDict[int, Tuple[int, int, PairDistanceWorkspace]]" = (
-            OrderedDict()
-        )
         self.evaluations = 0
         self.cache_hits = 0
         self.workspace_builds = 0
@@ -117,42 +116,46 @@ class BatchScorer:
         if hit is not None:
             self.cache_hits += 1
             return hit
-        x, y = self._pair.extract(window)
-        mi = self._batch_mi(window, x, y)
-        return self._finish(window, mi, x, y)
+        return self._estimate(window)
 
     def score_many(self, windows: Sequence[TimeDelayWindow]) -> List[WindowScore]:
-        """Scores for many windows in one call, batching same-delay groups.
+        """Scores for many windows in one call, in input order.
 
-        Windows that share a delay (e.g. the delta-neighbors of one LAHC
-        ring) draw their sample pairs from one short union sub-series, so
-        their k-NN geometry is computed through a single
-        :class:`~repro.mi.neighbors.PairDistanceWorkspace` -- one
-        ``O(u^2)`` pairwise-distance broadcast for the whole group instead
-        of one per window.  Scores are *exactly* the ones :meth:`score`
-        would produce (same floats, same memoization); only the amount of
-        redundant kernel work changes.  Windows the batch kernel cannot
-        serve (cache hits, non-bruteforce backends, or -- in the
-        incremental subclass -- on-trajectory engine evaluations) fall
-        back to :meth:`score` in input order.
+        Every uncached window the batch kernel can serve is scored by one
+        :func:`repro.mi.batch.ksg_batch` call, which stacks equal-size
+        windows of *any* delay (e.g. the delta-neighbors of one LAHC ring,
+        or one seeding block over the whole delay grid) into a single
+        numpy pass.  Grouping by exact size keeps every ``argpartition``
+        row the same buffer the scalar k-NN kernel partitions, so ties
+        resolve identically and the scores are *exactly* the ones
+        :meth:`score` would produce.  Memoization and counters are as for
+        a sequence of :meth:`score` calls: a window repeated within the
+        batch is evaluated once and counted as a cache hit after that.
+        Windows the batch kernel cannot serve (out-of-range windows,
+        non-bruteforce sizes, or -- in the incremental subclass --
+        on-trajectory engine evaluations) go through :meth:`score` first,
+        in input order.
         """
         out: List[Optional[WindowScore]] = [None] * len(windows)
-        grouped: Dict[int, List[int]] = {}
+        pending: Dict[WindowKey, int] = {}
+        repeats: List[Tuple[int, int]] = []
         for i, w in enumerate(windows):
-            hit = self._cache_get(w.key())
+            key = w.key()
+            hit = self._cache_get(key)
             if hit is not None:
                 self.cache_hits += 1
                 out[i] = hit
+            elif key in pending:
+                repeats.append((i, pending[key]))
             elif self._batchable(w):
-                grouped.setdefault(w.delay, []).append(i)
+                pending[key] = i
             else:
                 out[i] = self.score(w)
-        for positions in grouped.values():
-            for cluster in self._span_clusters(windows, positions):
-                if len(cluster) == 1:
-                    out[cluster[0]] = self.score(windows[cluster[0]])
-                else:
-                    self._score_cluster(windows, cluster, out)
+        if pending:
+            self._score_batch(windows, list(pending.values()), out)
+        for i, first in repeats:
+            self.cache_hits += 1
+            out[i] = out[first]
         return [s for s in out if s is not None]
 
     def value(self, window: TimeDelayWindow) -> float:
@@ -164,8 +167,8 @@ class BatchScorer:
         """Objective values of many windows via one batched scoring pass.
 
         Equivalent to ``[self.value(w) for w in windows]`` -- same floats,
-        same cache and stats bookkeeping -- but same-delay groups share one
-        distance workspace (see :meth:`score_many`).
+        same cache and stats bookkeeping -- but equal-size windows of any
+        delay share one stacked pass (see :meth:`score_many`).
         """
         scores = self.score_many(windows)
         if self._config.use_normalized:
@@ -173,9 +176,8 @@ class BatchScorer:
         return [s.mi for s in scores]
 
     def clear_cache(self) -> None:
-        """Drop the memo and workspace tables (between independent restarts)."""
+        """Drop the memo table (between independent restarts)."""
         self._cache.clear()
-        self._workspaces.clear()
 
     # -- memo table (capped LRU) --------------------------------------- #
 
@@ -191,181 +193,56 @@ class BatchScorer:
         if len(self._cache) > self._cache_capacity:
             self._cache.popitem(last=False)
 
-    # -- batched scoring ------------------------------------------------ #
+    # -- scoring paths -------------------------------------------------- #
+
+    def _estimate(self, window: TimeDelayWindow) -> WindowScore:
+        """Score one uncached window through the scalar estimator."""
+        xw, yw = self._pair.extract(window)
+        return self._finish(window, self._estimator.mi(xw, yw), xw, yw)
 
     def _batchable(self, window: TimeDelayWindow) -> bool:
-        """Can this window's geometry come from a shared workspace?
+        """Can this window be scored by the batch kernel?
 
         Requires the brute-force k-NN backend (the batch kernel replicates
-        exactly that math) and in-bounds sample ranges (out-of-bounds
-        windows must keep raising through the scalar path).
+        exactly that math), at least 2 samples, and in-bounds sample
+        ranges (invalid windows must keep raising through the scalar
+        path).
         """
         n = self._pair.n
         return (
             self._estimator.resolved_backend(window.size) == "bruteforce"
+            and window.end > window.start
             and 0 <= window.start
             and window.end < n
             and 0 <= window.y_start
             and window.y_end < n
         )
 
-    @staticmethod
-    def _span_clusters(
-        windows: Sequence[TimeDelayWindow], positions: List[int]
-    ) -> List[List[int]]:
-        """Split same-delay windows into overlapping-span clusters.
-
-        Windows that do not overlap (or would stretch the union past
-        ``_UNION_SPAN_LIMIT``) gain nothing from a shared workspace, so
-        each cluster covers one contiguous stretch of the series.
-        """
-        ordered = sorted(positions, key=lambda i: (windows[i].start, windows[i].end))
-        clusters: List[List[int]] = []
-        lo = hi = 0
-        for i in ordered:
-            w = windows[i]
-            if (
-                clusters
-                and w.start <= hi + 1
-                and max(hi, w.end) - lo + 1 <= _UNION_SPAN_LIMIT
-            ):
-                clusters[-1].append(i)
-                hi = max(hi, w.end)
-            else:
-                clusters.append([i])
-                lo, hi = w.start, w.end
-        return clusters
-
-    def _batch_mi(self, window: TimeDelayWindow, xw: FloatArray, yw: FloatArray) -> float:
-        """Batch-path MI of one window (already extracted as ``xw``/``yw``).
-
-        Served through the cached per-delay workspace when a cached union
-        span contains the window -- the principal submatrix is exactly the
-        brute-force geometry, so the floats are identical to a from-scratch
-        estimate -- and by the plain estimator otherwise.  One-off scalar
-        evaluations (single-window clusters, noise probes) thereby reuse
-        the ring's O(u^2) broadcasts instead of paying O(m^2) each.
-        """
-        if (
-            self._kernels is None
-            and self._config.workspace_cache_size > 0
-            and self._estimator.resolved_backend(window.size) == "bruteforce"
-        ):
-            entry = self._workspaces.get(window.delay)
-            if entry is not None:
-                lo, hi, workspace = entry
-                if lo <= window.start and window.end <= hi:
-                    self._workspaces.move_to_end(window.delay)
-                    self.workspace_hits += 1
-                    k = self._estimator.effective_k(window.size)
-                    offset = window.start - lo
-                    knn = workspace.knn(offset, window.size, k)
-                    table = (
-                        workspace.digamma_table()
-                        if self._config.use_digamma_table
-                        else None
-                    )
-                    sorted_x = sorted_y = None
-                    if self._config.use_sorted_marginals:
-                        sorted_x, sorted_y = workspace.sorted_window(offset, window.size)
-                    return self._estimator.mi_from_geometry(
-                        xw,
-                        yw,
-                        knn,
-                        k,
-                        digamma_table=table,
-                        sorted_x=sorted_x,
-                        sorted_y=sorted_y,
-                    )
-        return self._estimator.mi(xw, yw)
-
-    def _workspace_for(
-        self, delay: int, lo: int, hi: int
-    ) -> Tuple[int, PairDistanceWorkspace]:
-        """A distance workspace covering ``[lo, hi]`` at ``delay``.
-
-        Served from the per-delay LRU when a cached union span contains the
-        requested one (every window submatrix is identical either way);
-        otherwise built and cached.  Cached builds cover a *wider* span
-        than requested: a LAHC ring drifts by at most ``delta`` per
-        accepted move and the noise detector's concat probes extend a
-        window by ``max(delta, s_min)`` samples, so padding the union by
-        the probe reach plus a few moves of drift turns those follow-up
-        evaluations into containment hits instead of rebuilds.  Returns
-        the workspace with the series index its offset 0 maps to.
-        """
-        capacity = self._config.workspace_cache_size
-        if capacity > 0:
-            entry = self._workspaces.get(delay)
-            if entry is not None:
-                cached_lo, cached_hi, workspace = entry
-                if cached_lo <= lo and hi <= cached_hi:
-                    self._workspaces.move_to_end(delay)
-                    self.workspace_hits += 1
-                    return cached_lo, workspace
-            margin = max(self._config.delta, self._config.s_min) + 8 * self._config.delta
-            room = _UNION_SPAN_LIMIT - (hi - lo + 1)
-            if room > 0:
-                margin = min(margin, room // 2)
-                n = self._pair.n
-                lo = max(0, -delay, lo - margin)
-                hi = min(n - 1, n - 1 - delay, hi + margin)
-        x = self._pair.x
-        y = self._pair.y
-        workspace = PairDistanceWorkspace(
-            x[lo : hi + 1], y[lo + delay : hi + delay + 1]
-        )
-        self.workspace_builds += 1
-        if capacity > 0:
-            self._workspaces[delay] = (lo, hi, workspace)
-            self._workspaces.move_to_end(delay)
-            if len(self._workspaces) > capacity:
-                self._workspaces.popitem(last=False)
-        return lo, workspace
-
-    def _score_cluster(
+    def _score_batch(
         self,
         windows: Sequence[TimeDelayWindow],
-        cluster: List[int],
+        positions: List[int],
         out: List[Optional[WindowScore]],
     ) -> None:
-        """Score one same-delay cluster through a shared workspace."""
+        """Score the distinct, uncached, batchable ``windows[positions]``."""
         if self._kernels is not None:
-            self._score_cluster_kernels(windows, cluster, out)
+            by_delay: Dict[int, List[int]] = {}
+            for i in positions:
+                by_delay.setdefault(windows[i].delay, []).append(i)
+            for cluster in by_delay.values():
+                self._score_cluster_kernels(windows, cluster, out)
             return
-        lo = min(windows[i].start for i in cluster)
-        hi = max(windows[i].end for i in cluster)
-        delay = windows[cluster[0]].delay
-        base, workspace = self._workspace_for(delay, lo, hi)
-        table = workspace.digamma_table() if self._config.use_digamma_table else None
-        use_sorted = self._config.use_sorted_marginals
-        px = self._pair.x
-        py = self._pair.y
-        base_k = self._estimator.k
-        mi_from_geometry = self._estimator.mi_from_geometry
-        for i in cluster:
-            w = windows[i]
-            hit = self._cache_get(w.key())
-            if hit is not None:
-                # Duplicate window inside one batch: second occurrence is a
-                # cache hit, exactly as in a scalar evaluation sequence.
-                self.cache_hits += 1
-                out[i] = hit
-                continue
-            size = w.end - w.start + 1
-            k = base_k if size > base_k else size - 1  # == effective_k(size)
-            offset = w.start - base
-            knn = workspace.knn(offset, size, k)
-            sorted_x = sorted_y = None
-            if use_sorted:
-                sorted_x, sorted_y = workspace.sorted_window(offset, size)
-            # _batchable() already verified the bounds extract() re-checks.
-            xw = px[w.start : w.end + 1]
-            yw = py[w.start + delay : w.end + delay + 1]
-            mi = mi_from_geometry(
-                xw, yw, knn, k, digamma_table=table, sorted_x=sorted_x, sorted_y=sorted_y
-            )
-            out[i] = self._finish(w, mi, xw, yw, sorted_x=sorted_x, sorted_y=sorted_y)
+        batch = [windows[i] for i in positions]
+        mi, entropy, passes = ksg_batch(
+            self._pair.x,
+            self._pair.y,
+            [(w.start, w.size, w.delay) for w in batch],
+            self._estimator.k,
+        )
+        self.workspace_builds += passes
+        self.workspace_hits += len(batch) - passes
+        for i, w, w_mi, w_entropy in zip(positions, batch, mi.tolist(), entropy.tolist()):
+            out[i] = self._record(w, w_mi, w_entropy)
 
     def _score_cluster_kernels(
         self,
@@ -380,7 +257,7 @@ class BatchScorer:
         O(u^2) distance workspace is materialized -- and the digamma
         reduction stays in numpy (see ``KSGEstimator.mi_from_counts``),
         so scores are bit-identical to the scalar backend path.  Cache
-        bookkeeping mirrors the workspace path: repeated windows inside
+        bookkeeping mirrors :meth:`score_many`: repeated windows inside
         one batch count as cache hits, not evaluations.
         """
         kernels = self._kernels
@@ -441,29 +318,13 @@ class BatchScorer:
             out[i] = hit
 
     def _finish(
-        self,
-        window: TimeDelayWindow,
-        mi: float,
-        xw: FloatArray,
-        yw: FloatArray,
-        sorted_x: Optional[FloatArray] = None,
-        sorted_y: Optional[FloatArray] = None,
+        self, window: TimeDelayWindow, mi: float, xw: FloatArray, yw: FloatArray
     ) -> WindowScore:
-        """Normalize, contract-check, memoize and count one evaluation.
+        """Add the window's binned entropy to ``mi`` and record the score."""
+        return self._record(window, mi, binned_joint_entropy(xw, yw))
 
-        When the window's sorted projections are already in hand, their end
-        elements are handed to the entropy binning as the (exact) min/max,
-        skipping four reductions per window.
-        """
-        if sorted_x is not None and sorted_y is not None:
-            entropy = binned_joint_entropy(
-                xw,
-                yw,
-                x_bounds=(sorted_x[0], sorted_x[-1]),
-                y_bounds=(sorted_y[0], sorted_y[-1]),
-            )
-        else:
-            entropy = binned_joint_entropy(xw, yw)
+    def _record(self, window: TimeDelayWindow, mi: float, entropy: float) -> WindowScore:
+        """Normalize, contract-check, memoize and count one evaluation."""
         score = WindowScore(
             mi=mi, nmi=normalize_value(mi, entropy), ratio=normalize_ratio(mi, entropy)
         )
@@ -528,7 +389,7 @@ class IncrementalScorer(BatchScorer):
         :meth:`score` one at a time, in evaluation order, because they
         mutate the sliding engine (Section 7 diffs).  Off-trajectory
         probes and sub-engine-size windows are pure batch estimates, so
-        the shared workspace may compute them in any grouping.
+        the batch kernel may score them in any grouping.
         """
         if not super()._batchable(window):
             return False
@@ -545,9 +406,7 @@ class IncrementalScorer(BatchScorer):
             self._trajectory_delay is not None and window.delay != self._trajectory_delay
         ):
             # Small window, or an off-trajectory delay probe: batch path.
-            xw, yw = self._pair.extract(window)
-            mi = self._batch_mi(window, xw, yw)
-            return self._finish(window, mi, xw, yw)
+            return self._estimate(window)
         base = self._base
         x = self._pair.x
         y = self._pair.y
@@ -561,8 +420,7 @@ class IncrementalScorer(BatchScorer):
                 # probes): repairing the engine would cost more than a
                 # batch estimate, and the engine must stay anchored at the
                 # current solution for the ring neighbors that follow.
-                xw, yw = self._pair.extract(window)
-                return self._finish(window, self._batch_mi(window, xw, yw), xw, yw)
+                return self._estimate(window)
         if (
             base is None
             or base.delay != window.delay

@@ -63,10 +63,12 @@ class SearchStats:
             (incremental variants only).
         mi_incremental_updates: constant-time neighbor-set updates
             (incremental variants only).
-        workspace_builds: shared distance workspaces constructed for
-            batched same-delay clusters (batched scoring only).
-        workspace_hits: clusters served from the per-delay workspace LRU
-            (``TycosConfig.workspace_cache_size``).
+        workspace_builds: stacked passes of the batch kernel
+            (:func:`repro.mi.batch.ksg_batch`): one per window size per
+            scored batch, more when a size group is split into chunks.
+        workspace_hits: batch-scored windows that shared a stacked pass
+            with an earlier window; ``workspace_builds + workspace_hits``
+            is the number of windows scored in batches.
         segments: timeline segments the search ran over (0 for a classic
             unsegmented search, the span count for a segmented one; see
             :mod:`repro.analysis.segmented`).
@@ -162,8 +164,8 @@ class Tycos:
             (the "M" in LM/LMN).
         overlap_policy: how the result set resolves overlapping windows.
         batched_scoring: score each delta-neighborhood ring through one
-            batched :meth:`BatchScorer.value_many` call (same-delay
-            neighbors share a single pairwise-distance workspace) instead
+            batched :meth:`BatchScorer.value_many` call (equal-size
+            neighbors of any delay share one stacked numpy pass) instead
             of one scorer call per candidate.  Scores and results are
             identical either way; the flag exists so benchmarks can
             measure the batched kernel against the scalar path.

@@ -7,6 +7,9 @@ quantify statistical dependence between two windows of time series data:
   neighbor MI estimator (paper Eq. 2 / Eq. 3).
 * :mod:`repro.mi.neighbors` -- max-norm k-nearest-neighbor search backends
   (vectorized brute force and a uniform grid index) plus marginal counting.
+* :mod:`repro.mi.batch` -- KSG MI and binned entropy of many windows in
+  one stacked numpy pass per window size, bit-identical to the
+  single-window path.
 * :mod:`repro.mi.entropy` -- plug-in discrete entropy, binned continuous
   entropy and the Kozachenko--Leonenko differential entropy estimator.
 * :mod:`repro.mi.normalized` -- the normalized MI of paper Eq. (18) used to

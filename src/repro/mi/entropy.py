@@ -63,9 +63,6 @@ def binned_joint_entropy(
     x: AnyArray,
     y: AnyArray,
     bins: Optional[int] = None,
-    *,
-    x_bounds: Optional[tuple] = None,
-    y_bounds: Optional[tuple] = None,
 ) -> float:
     """Plug-in joint entropy (nats) of a continuous pair after binning.
 
@@ -74,11 +71,6 @@ def binned_joint_entropy(
         y: paired samples of the second variable, shape ``(m,)``.
         bins: number of equal-width bins per axis; defaults to
             :func:`default_bins`.
-        x_bounds: optional ``(min, max)`` of ``x``, when the caller already
-            holds them (e.g. the ends of a maintained sorted projection).
-            Must equal ``(x.min(), x.max())`` exactly -- this skips the two
-            reductions, it does not change the binning range.
-        y_bounds: same for ``y``.
 
     Returns:
         Non-negative entropy of the joint bin-occupancy distribution,
@@ -99,23 +91,15 @@ def binned_joint_entropy(
         bins = default_bins(x.size)
     # Manual equal-width binning: ~10x faster than np.histogram2d, which
     # routes through histogramdd and dominates search profiles otherwise.
-    counts = np.bincount(
-        _flat_bin_index(x, bins, x_bounds) * bins + _flat_bin_index(y, bins, y_bounds)
-    )
+    counts = np.bincount(_flat_bin_index(x, bins) * bins + _flat_bin_index(y, bins))
     p = counts[counts > 0] / x.size
     return float(-(p * np.log(p)).sum())
 
 
-def _flat_bin_index(
-    values: np.ndarray, bins: int, bounds: Optional[tuple] = None
-) -> IntArray:
+def _flat_bin_index(values: np.ndarray, bins: int) -> IntArray:
     """Equal-width bin index of each value over its own [min, max] range."""
-    if bounds is None:
-        lo = values.min()
-        span = values.max() - lo
-    else:
-        lo = bounds[0]
-        span = bounds[1] - lo
+    lo = values.min()
+    span = values.max() - lo
     if span <= 0:
         return np.zeros(values.size, dtype=np.int64)
     idx = ((values - lo) * (bins / span)).astype(np.int64)

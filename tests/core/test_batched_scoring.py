@@ -9,10 +9,12 @@ classes -- only the amount of redundant kernel work may differ.
 import numpy as np
 import pytest
 
+import repro.core.tycos as tycos_module
 from repro.core.config import TycosConfig
 from repro.core.thresholds import BatchScorer, IncrementalScorer
-from repro.core.tycos import Tycos
+from repro.core.tycos import Tycos, tycos_l, tycos_lm, tycos_ln, tycos_lmn
 from repro.core.window import PairView, TimeDelayWindow
+from repro.data.composer import compose
 
 
 def _coupled_pair(n=400, lag=7, seed=9):
@@ -72,6 +74,20 @@ class TestScoreManyEquality:
         assert scorer.evaluations == 1
         assert scorer.cache_hits == 2
 
+    @pytest.mark.parametrize("scorer_cls", [BatchScorer, IncrementalScorer])
+    def test_repeats_among_mixed_windows_match_scalar_counters(self, scorer_cls):
+        x, y = _coupled_pair()
+        config = TycosConfig(s_min=8, s_max=60, td_max=6)
+        rng = np.random.default_rng(6)
+        ring = _ring(rng, len(x), 8, delay=1, td_max=6) + _ring(rng, len(x), 8, delay=-2, td_max=6)
+        windows = ring[:5] + [ring[2]] + ring[5:] + [ring[0], ring[9]]
+        scalar = scorer_cls(PairView(x, y), config)
+        expected = [scalar.score(w) for w in windows]
+        batched = scorer_cls(PairView(x, y), config)
+        assert batched.score_many(windows) == expected
+        assert batched.evaluations == scalar.evaluations == len(ring)
+        assert batched.cache_hits == scalar.cache_hits == 3
+
     def test_batch_propagates_scalar_path_errors(self):
         x, y = _coupled_pair()
         config = TycosConfig(s_min=8, s_max=60, td_max=6)
@@ -81,18 +97,52 @@ class TestScoreManyEquality:
             scorer.score_many([infeasible])
 
 
+class _ScalarBatchScorer(BatchScorer):
+    """Reference scorer: a batch is scored one window at a time."""
+
+    def score_many(self, windows):
+        return [self.score(w) for w in windows]
+
+
+class _ScalarIncrementalScorer(IncrementalScorer):
+    def score_many(self, windows):
+        return [self.score(w) for w in windows]
+
+
+def _scalar_make_scorer(pair, config, incremental):
+    if incremental:
+        return _ScalarIncrementalScorer(pair, config)
+    return _ScalarBatchScorer(pair, config)
+
+
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("use_incremental", [False, True])
-    def test_search_identical_with_and_without_batching(self, use_incremental):
-        x, y = _coupled_pair(n=320)
-        config = TycosConfig(sigma=0.3, s_min=8, s_max=48, td_max=8, jitter=1e-6, seed=2)
-        plain = Tycos(config, use_incremental=use_incremental, batched_scoring=False).search(x, y)
-        batched = Tycos(config, use_incremental=use_incremental, batched_scoring=True).search(x, y)
-        assert [r.window for r in plain.windows] == [r.window for r in batched.windows]
-        assert [r.mi for r in plain.windows] == [r.mi for r in batched.windows]
+    @pytest.mark.parametrize("variant", [tycos_l, tycos_ln, tycos_lm, tycos_lmn])
+    def test_search_identical_with_and_without_batching(self, variant, monkeypatch):
+        # Composer pair with planted delayed relations; s_max above the
+        # incremental engine's min_engine_size, so in the LMN variant
+        # on-trajectory engine windows interleave with batched ones.
+        rng = np.random.default_rng(11)
+        pair = compose([("linear", 160, 5), ("sine", 150, -4)], rng, gap=30)
+        config = TycosConfig(
+            sigma=0.3, s_min=48, s_max=150, td_max=8, jitter=1e-6, seed=2, init_delay_step=2
+        )
+        batched = variant(config).search(pair.x, pair.y)
+        # The reference scores every window through scalar score() calls:
+        # rings via batched_scoring=False, and the batches the noise
+        # detector and seeding issue via the scalar score_many.
+        monkeypatch.setattr(tycos_module, "make_scorer", _scalar_make_scorer)
+        reference = variant(config)
+        reference.batched_scoring = False
+        plain = reference.search(pair.x, pair.y)
+        assert batched.windows  # the pair must exercise acceptance
+        assert plain.windows == batched.windows  # WindowResult: window, mi, nmi
         assert plain.stats.windows_evaluated == batched.stats.windows_evaluated
         assert plain.stats.cache_hits == batched.stats.cache_hits
+        assert plain.stats.noise_prunes == batched.stats.noise_prunes
         assert plain.stats.accepted_moves == batched.stats.accepted_moves
+        assert plain.stats.lahc_iterations == batched.stats.lahc_iterations
+        assert plain.stats.workspace_builds == 0
+        assert batched.stats.workspace_builds > 0
 
 
 class TestCappedMemo:

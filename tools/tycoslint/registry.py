@@ -113,6 +113,7 @@ FAST_PATH_GATES: Dict[str, str] = {
     "repro.mi.digamma": "direct scipy.special.digamma evaluation",
     "repro.mi.neighbors": "per-window np.sort / scalar KSG geometry",
     "repro.mi.incremental": "full KSG re-estimation per window",
+    "repro.mi.batch": "scalar per-window KSGEstimator.mi + binned_joint_entropy",
     "repro.core.thresholds": "scalar per-window scoring path",
     "repro.core.pyramid": "exact full-resolution coordinate mapping",
     "repro.analysis.parallel": "the serial pairwise scan",
