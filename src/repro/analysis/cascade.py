@@ -372,10 +372,10 @@ def cascade_scan(
             from the store's memory-mapped screen cache (built once,
             reused across scans), and pool workers memory-map instead
             of copying.
-        screen_block: pairs per stage-1 batch (default
-            ``config.screen_block``).  Any block size produces
-            bit-identical scores; larger blocks amortize kernel launch
-            overhead against peak memory.
+        screen_block: pairs per stage-1 block, the unit of one pool
+            task (default ``config.screen_block``).  Any block size
+            produces bit-identical scores in the same memory: the kernel
+            screens each block in cache-sized chunks of its own.
         force_parallel: run requested pools even on a 1-core host,
             where the default falls back to serial (see
             :func:`repro.analysis.parallel.effective_workers`).
@@ -533,7 +533,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--screen-block", type=int, default=None,
-        help="pairs per batched stage-1 screen block (default: config "
+        help="pairs per stage-1 screen pool task (default: config "
              "screen_block = 256; any size scores bit-identically)",
     )
     parser.add_argument(

@@ -17,10 +17,17 @@ every query it will ever meet):
   blocks with their rolling moments for the windowed-PCC scan, and the
   padded rfft spectrum, normalized query spectra and rolling window
   sigmas for the MASS probes.
-* :func:`batched_screen_scores` screens a whole *block* of pairs in a
-  few batched numpy kernels: one row-wise cumulative sum over the
-  stacked band blocks (the cross moment is the only per-pair rolling
-  sum left) and one batched irfft over the stacked spectra products.
+* :func:`batched_screen_scores` screens a *block* of pairs in chunks
+  of at most :data:`_CELL_BUDGET` cells per working array (about 9
+  pairs of a 400-sample, 17-delay geometry).  Per chunk it runs one
+  stacked gather per state field, one row-wise cumulative sum over the
+  band-block cross products (the cross moment is the only per-pair
+  rolling sum left) and one irfft over the spectra products, all in a
+  dozen buffers allocated once per call and written in place.  The
+  kernel is memory-bound, so small chunks that stay in cache beat one
+  block-wide pass, and a call's memory is a few MB whatever the block
+  size; the caller's block (``config.screen_block``) only sets how many
+  pairs one pool task carries.
 
 Bit-exactness is the contract, not an aspiration: every arithmetic step
 replays the reference's expressions on the reference's floats -- the
@@ -28,9 +35,10 @@ roll-sum recipe of :func:`repro.baselines.pearson.sliding_pcc_band`,
 the distance conversion of
 :func:`repro.baselines.mass.mass_distance_profile`, even the Python
 scalar ``1.0 - float(d) ** 2 / (2.0 * m)`` tail -- and row-wise numpy
-reductions (``cumsum(axis=1)``, ``irfft(axis=1)``) are per-row
-identical to their 1-D forms, so every returned score is bit-identical
-to ``fft_screen_score`` on the same pair (TY121 gate, asserted by the
+operations (``cumsum`` along the last axis, ``irfft(axis=1)``) are
+per-row identical to their 1-D forms, so every returned score is
+bit-identical to ``fft_screen_score`` on the same pair, at every chunk
+and block size (TY121 gate, asserted by the
 tier-1 suite and by the bench before any speedup is recorded).  A
 geometry the reference would abstain on (window < 2, series shorter
 than the window) abstains here identically: every score is ``inf`` and
@@ -58,6 +66,15 @@ __all__ = [
     "pack_screen_state",
     "unpack_screen_state",
 ]
+
+#: Largest number of cells one chunk of a pair block holds in a working
+#: array, counted on the largest per-pair array: the ``(rows, n + 1)``
+#: cumulative sums of the cross moment, or the ``(probes, fft_size)``
+#: inverse FFT.  Each working array of a chunk then stays within 512 kB
+#: and all of them together within a few MB, so the memory-bound kernel
+#: runs in cache at any block size; a pair above the budget is screened
+#: alone.
+_CELL_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -388,12 +405,23 @@ def unpack_screen_state(row: FloatArray, geometry: ScreenGeometry) -> SeriesScre
     )
 
 
+def _pair_cells(geometry: ScreenGeometry) -> int:
+    """Cells one pair takes in the largest working array of the kernel."""
+    return max(
+        geometry.rows * (geometry.length + 1), geometry.mass_probes * geometry.fft_size
+    )
+
+
 def batched_screen_scores(
     states: Sequence[SeriesScreenState],
     pair_indices: Sequence[Tuple[int, int]],
     geometry: ScreenGeometry,
 ) -> List[float]:
     """Stage-1 screen scores of a block of pairs, batched.
+
+    The block is screened in chunks of at most :data:`_CELL_BUDGET`
+    cells per working array, so any block size runs in the same few MB
+    and scores identically.
 
     Args:
         states: per-series screen states (any indexable collection).
@@ -410,66 +438,96 @@ def batched_screen_scores(
     if geometry.abstains or not pair_indices:
         return [float("inf")] * len(pair_indices)
     n, m = geometry.length, geometry.window
-    rows = geometry.rows
-    out_w = geometry.out_width
+    rows, out_w = geometry.rows, geometry.out_width
+    probes, bins = geometry.mass_probes, geometry.spectrum_bins
     block = len(pair_indices)
-
-    # -- windowed PCC: only the cross moment is per-pair --------------- #
-    xs = np.concatenate([states[i].xs for i, _ in pair_indices])
-    ys = np.concatenate([states[j].ys for _, j in pair_indices])
-    sxy = roll_sum_rows(xs * ys, m)
-    sx = np.concatenate([states[i].sx for i, _ in pair_indices])
-    sy = np.concatenate([states[j].sy for _, j in pair_indices])
-    px = np.concatenate([states[i].px for i, _ in pair_indices])
-    py = np.concatenate([states[j].py for _, j in pair_indices])
-    cov = sxy - sx * sy / m
-    denom = np.sqrt(px * py)
-    out = np.zeros_like(cov)
-    ok = denom > 1e-12
-    out[ok] = cov[ok] / denom[ok]
-    out = np.clip(out, -1.0, 1.0)
+    chunk = min(block, max(1, _CELL_BUDGET // _pair_cells(geometry)))
     # Window positions past a band row's valid prefix cover zero padding
-    # the reference never sees; mask them to the reference's 0.0 floor.
-    valid = np.tile(geometry.valid_mask(), (block, 1))
-    magnitude = np.where(valid, np.abs(out), 0.0)
-    pcc_best = magnitude.reshape(block, rows * out_w).max(axis=1)
+    # the reference never sees; they stay at the reference's 0.0 floor.
+    valid = geometry.valid_mask()
+    flat = float(np.sqrt(2.0 * m))
 
-    # -- MASS probes: one batched irfft over all (pair, probe) rows ---- #
-    probes = geometry.mass_probes
-    if probes:
-        bins = geometry.spectrum_bins
-        products = np.empty((block, probes, bins), dtype=np.complex128)
-        for b, (i, j) in enumerate(pair_indices):
+    # Allocated once per call and reused by every chunk, written in place.
+    buffers = (
+        np.empty((chunk, rows, n)),
+        np.empty((chunk, rows, n)),
+        np.zeros((chunk, rows, n + 1)),  # cumsums go to [..., 1:]; column 0 stays 0
+        np.empty((chunk, rows, out_w)),
+        np.empty((chunk, rows, out_w)),
+        np.empty((chunk, rows, out_w)),
+        np.empty((chunk, rows, out_w), dtype=bool),
+        np.empty((chunk, bins), dtype=np.complex128),
+        np.empty((chunk, probes, bins), dtype=np.complex128),
+        np.empty((chunk, out_w)),
+        np.empty((chunk, out_w), dtype=bool),
+        np.empty((chunk, probes), dtype=bool),
+    )
+    pcc_best = np.empty(block)
+    mins = np.empty((block, probes))
+    maxs = np.empty((block, probes))
+
+    for lo in range(0, block, chunk):
+        pairs = pair_indices[lo : lo + chunk]
+        hi = lo + len(pairs)
+        left = [states[i] for i, _ in pairs]
+        right = [states[j] for _, j in pairs]
+        xs, ys, sums, cov, xm, ym, ok, spectra, products, msig, sigma_ok, degenerate = (
+            buffer[: len(pairs)] for buffer in buffers
+        )
+
+        # -- windowed PCC: only the cross moment is per-pair ----------- #
+        np.stack([s.xs for s in left], out=xs)
+        np.stack([s.ys for s in right], out=ys)
+        np.multiply(xs, ys, out=xs)
+        np.cumsum(xs, axis=-1, out=sums[:, :, 1:])
+        np.subtract(sums[:, :, m:], sums[:, :, :-m], out=cov)
+        np.stack([s.sx for s in left], out=xm)
+        np.stack([s.sy for s in right], out=ym)
+        np.multiply(xm, ym, out=xm)
+        np.divide(xm, m, out=xm)
+        np.subtract(cov, xm, out=cov)
+        np.stack([s.px for s in left], out=xm)
+        np.stack([s.py for s in right], out=ym)
+        np.multiply(xm, ym, out=xm)
+        np.sqrt(xm, out=xm)
+        np.greater(xm, 1e-12, out=ok)
+        np.logical_and(ok, valid, out=ok)
+        np.divide(cov, xm, out=cov, where=ok)
+        np.copyto(cov, 0.0, where=~ok)
+        np.abs(cov, out=cov)
+        # max |clip(r)| == min(max |r|, 1): clipping commutes with max.
+        np.minimum(cov.max(axis=(1, 2)), 1.0, out=pcc_best[lo:hi])
+
+        # -- MASS probes: one irfft over the chunk's (pair, probe) rows - #
+        if probes:
+            np.stack([s.spectrum for s in right], out=spectra)
+            np.stack([s.query_spectra for s in left], out=products)
             # Reference operand order: fft(series) * fft(query).
-            products[b] = states[j].spectrum[None, :] * states[i].query_spectra
-        qt = np.fft.irfft(products.reshape(block * probes, bins), geometry.fft_size, axis=1)
-        qt = qt[:, m - 1 : n]
-        ok_rows = np.repeat(
-            np.stack([states[j].sigma_ok for _, j in pair_indices]), probes, axis=0
-        )
-        msig = np.repeat(
-            np.stack([states[j].msig_safe for _, j in pair_indices]), probes, axis=0
-        )
-        dist_sq = np.where(ok_rows, 2.0 * m * (1.0 - qt / msig), 2.0 * m)
-        profile = np.sqrt(np.maximum(dist_sq, 0.0))
-        mins = profile.min(axis=1).reshape(block, probes)
-        maxs = profile.max(axis=1).reshape(block, probes)
-        flat = float(np.sqrt(2.0 * m))
-        for b, (i, _) in enumerate(pair_indices):
-            degenerate = states[i].query_degenerate
-            if degenerate.any():
-                mins[b, degenerate] = flat
-                maxs[b, degenerate] = flat
+            np.multiply(spectra[:, None, :], products, out=products)
+            qt = np.fft.irfft(products.reshape(-1, bins), geometry.fft_size, axis=1)
+            qt = qt[:, m - 1 : n].reshape(len(pairs), probes, out_w)
+            np.stack([s.msig_safe for s in right], out=msig)
+            np.stack([s.sigma_ok for s in right], out=sigma_ok)
+            np.divide(qt, msig[:, None, :], out=qt)
+            np.subtract(1.0, qt, out=qt)
+            np.multiply(2.0 * m, qt, out=qt)
+            np.copyto(qt, 2.0 * m, where=~sigma_ok[:, None, :])
+            # sqrt is monotone, so the extremes of the distance profile
+            # are the square roots of the extremes of its squares.
+            np.sqrt(np.maximum(qt.min(axis=2), 0.0), out=mins[lo:hi])
+            np.sqrt(np.maximum(qt.max(axis=2), 0.0), out=maxs[lo:hi])
+            np.stack([s.query_degenerate for s in left], out=degenerate)
+            mins[lo:hi][degenerate] = flat
+            maxs[lo:hi][degenerate] = flat
 
     scores: List[float] = []
     for b in range(block):
         best = float(pcc_best[b])
-        if probes:
-            # The reference's Python-scalar tail, probe by probe; max()
-            # ignores NaN exactly as the per-pair accumulation does.
-            for p in range(probes):
-                r_hi = 1.0 - float(mins[b, p]) ** 2 / (2.0 * m)
-                r_lo = 1.0 - float(maxs[b, p]) ** 2 / (2.0 * m)
-                best = max(best, abs(r_hi), abs(r_lo))
+        # The reference's Python-scalar tail, probe by probe; max()
+        # ignores NaN exactly as the per-pair accumulation does.
+        for p in range(probes):
+            r_hi = 1.0 - float(mins[b, p]) ** 2 / (2.0 * m)
+            r_lo = 1.0 - float(maxs[b, p]) ** 2 / (2.0 * m)
+            best = max(best, abs(r_hi), abs(r_lo))
         scores.append(best)
     return scores

@@ -122,15 +122,14 @@ class TycosConfig:
             opt-out of that conservatism (prune exactly at the nominal
             thresholds); ``inf`` disables pruning entirely, making a
             cascade scan byte-identical to the unscreened scan.
-        screen_block: pairs per batched stage-1 screen block
-            (:mod:`repro.analysis.screen_state`).  Each block is scored
-            by a few batched numpy kernels over the stacked per-series
-            states, so larger blocks amortize more dispatch overhead at
-            the cost of a larger working set (roughly ``block_size x
-            (2 td_max + 1) x n`` floats for the band product plus the
-            stacked spectra).  Block boundaries never change results:
-            batched scores are bit-identical to the per-pair screen at
-            every block size.
+        screen_block: pairs per stage-1 screen block, the unit of work
+            one pool task carries (:mod:`repro.analysis.screen_state`).
+            The kernel screens every block in small cache-sized chunks
+            of its own, so the block size sets neither the working set
+            (a few MB per process) nor the arithmetic; larger blocks
+            only mean fewer, longer pool tasks.  Block boundaries never
+            change results: batched scores are bit-identical to the
+            per-pair screen at every block size.
         backend: which kernel engine serves the KSG hot loops
             (:mod:`repro.mi.backends`).  ``"numpy"`` (the default) keeps
             the legacy vectorized paths bit-for-bit unchanged;
@@ -191,6 +190,12 @@ class TycosConfig:
             )
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if self.use_normalized and self.sigma > 1:
+            # Normalized MI never exceeds 1, so such a threshold is a
+            # mistake; raw MI (nats) has no upper bound.
+            raise ValueError(
+                f"sigma must be in (0, 1] with use_normalized, got {self.sigma}"
+            )
         if not 0 <= self.epsilon_ratio < 1:
             raise ValueError(f"epsilon_ratio must be in [0, 1), got {self.epsilon_ratio}")
         if self.k < 1:

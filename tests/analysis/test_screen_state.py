@@ -4,13 +4,15 @@ The contract under test -- the TY121 bit-exactness gate of
 ``repro.analysis.screen_state``: every score produced by
 ``batched_screen_scores`` is bit-identical to the per-pair reference
 ``repro.analysis.cascade.fft_screen_score`` on the same pair, at every
-block size, for odd collection sizes, through the pack/unpack cache
-format, and in the abstaining short-series geometries.
+block size and across the kernel's internal chunk boundaries, for odd
+collection sizes, through the pack/unpack cache format, and in the
+abstaining short-series geometries.
 """
 
 import numpy as np
 import pytest
 
+import repro.analysis.screen_state as screen_state
 from repro.analysis.cascade import cascade_scan, fft_screen_score
 from repro.analysis.screen_state import (
     ScreenGeometry,
@@ -117,6 +119,74 @@ class TestBitExactness:
         pairs = _all_pairs(names)
         got = batched_screen_scores(states, pairs, geometry)
         assert got == _reference_scores(series, names, pairs, geometry)
+
+
+class TestChunkBoundaries:
+    """Chunks of a pair block score exactly like the per-pair reference.
+
+    The cell budget is shrunk so a short block spans several chunks; the
+    degenerate pairs sit on both sides of a chunk boundary.
+    """
+
+    N = 120
+
+    def _series(self):
+        rng = np.random.default_rng(17)
+        walk = np.cumsum(rng.normal(size=self.N))
+        stretch = rng.normal(size=self.N)
+        stretch[40:90] = 2.5  # sigma_ok false and denom <= 1e-12 inside
+        return {
+            "walk": walk,
+            "stretch": stretch,
+            "flat": np.ones(self.N),  # every MASS probe is degenerate
+            "lagged": np.roll(walk, 3) + rng.normal(scale=0.1, size=self.N),
+            "noise": rng.normal(size=self.N),
+        }
+
+    # With 3 pairs per chunk, "stretch" pairs sit at positions 2 | 3 and
+    # 5 | 6 (both pair roles), and the ten pairs end in a partial chunk.
+    PAIRS = [
+        (0, 3), (4, 0), (0, 1), (1, 4), (3, 2),
+        (1, 2), (2, 1), (4, 3), (2, 0), (3, 4),
+    ]
+
+    def _geometry(self):
+        return ScreenGeometry(length=self.N, window=32, td_max=3)
+
+    @pytest.mark.parametrize("pairs_per_chunk", [1, 3])
+    def test_chunks_match_reference(self, monkeypatch, pairs_per_chunk):
+        geometry = self._geometry()
+        budget = pairs_per_chunk * screen_state._pair_cells(geometry)
+        monkeypatch.setattr(screen_state, "_CELL_BUDGET", budget)
+        series = self._series()
+        names = list(series)
+        states = [build_screen_state(series[name], geometry) for name in names]
+        got = batched_screen_scores(states, self.PAIRS, geometry)
+        assert got == _reference_scores(series, names, self.PAIRS, geometry)
+
+    def test_pair_above_budget_is_screened_alone(self, monkeypatch):
+        # A budget below one pair's cells still screens (chunk = 1), here
+        # on a geometry whose MASS array is the larger per-pair one.
+        geometry = ScreenGeometry(length=self.N, window=60, td_max=0, mass_probes=4)
+        assert geometry.mass_probes * geometry.fft_size > geometry.rows * (self.N + 1)
+        monkeypatch.setattr(screen_state, "_CELL_BUDGET", 1)
+        series = self._series()
+        names = list(series)
+        states = [build_screen_state(series[name], geometry) for name in names]
+        got = batched_screen_scores(states, self.PAIRS, geometry)
+        assert got == _reference_scores(series, names, self.PAIRS, geometry)
+
+    def test_degenerate_cases_are_present(self):
+        # Guard the fixture: the stretch and flat series really take the
+        # masked branches the boundary tests are about.
+        geometry = self._geometry()
+        series = self._series()
+        stretch = build_screen_state(series["stretch"], geometry)
+        walk = build_screen_state(series["walk"], geometry)
+        assert not stretch.sigma_ok.all()
+        assert (np.sqrt(stretch.px * walk.py) <= 1e-12).any()
+        assert (np.sqrt(walk.px * stretch.py) <= 1e-12).any()
+        assert build_screen_state(series["flat"], geometry).query_degenerate.all()
 
 
 class TestAbstention:

@@ -87,6 +87,8 @@ class TestPayload:
         assert canonical_bytes(first) == canonical_bytes(second)
         assert first["search"]["windows"], "workload must find coupled windows"
         assert {f["source"] for f in first["scan"]["findings"]} <= {"a", "b", "c"}
+        screened, pruned_fft, _, searched = first["cascade"]["ledger"]
+        assert screened == 10 and pruned_fft > 0 and searched > 0
 
     def test_timing_fields_are_excluded(self):
         payload = build_payload(WORKER_LENGTH, 0, 1, 1, inject=False)

@@ -15,8 +15,13 @@ scheduled.  Each variant runs in a fresh child interpreter because
   segmenting legitimately changes which restarts are attempted
   (``n_segments=k`` differs from ``n_segments=1`` by design, see
   :mod:`repro.analysis.segmented`), so classes are never diffed against
-  each other; the scan section, which has no segment dependence, *is*
-  compared across every variant.
+  each other; the scan and cascade sections, which have no segment
+  dependence, *are* compared across every variant.
+
+The cascade section scans a small collection from a series store; its
+``n_jobs=1`` children screen one pair per block, its ``n_jobs=2``
+children pool blocks of three, so the cross-variant diff also checks the
+pooled screen and its merge against the one-pair-per-block path.
 
 On a mismatch the sanitizer fails loudly with a field-level diff of the
 parsed payloads, not just "bytes differ".  ``--inject`` plants an
@@ -167,7 +172,14 @@ def build_payload(
     report = scan_pairs_parallel(
         series, config, n_jobs=n_jobs, force_parallel=n_jobs > 1
     )
-    payload["scan"] = {
+    payload["scan"] = _report_section(report)
+    payload["cascade"] = _cascade_section(series, config, n_jobs)
+    return payload
+
+
+def _report_section(report: Any) -> Dict[str, Any]:
+    """The result fields of a pairwise report (no notes, no timings)."""
+    return {
         "findings": [
             {
                 "source": f.source,
@@ -181,7 +193,50 @@ def build_payload(
         "skipped": [list(pair) for pair in report.skipped],
         "failures": [[f.source, f.target, f.error] for f in report.failures],
     }
-    return payload
+
+
+def _cascade_section(
+    series: Dict[str, Any], config: Any, n_jobs: int
+) -> Dict[str, Any]:
+    """Cascade scan of a five-series collection served from a series store.
+
+    Two more series join the workload: a noisy copy of ``a`` shifted by
+    five samples and more noise.  At a 120-sample screen window the
+    stage-1 screen prunes most pairs that include a noise series, so its
+    scores decide the ledger.  With ``n_jobs > 1`` the screen is pooled in
+    blocks of three pairs (four blocks, so the pool really runs);
+    serially it screens one pair per block.  Neither choice may change
+    the report.
+    """
+    import numpy as np
+
+    from repro.analysis.cascade import cascade_scan
+    from repro.analysis.store import SeriesStore
+
+    rng = np.random.default_rng(11)
+    length = series["a"].size
+    collection = dict(series)
+    collection["d"] = np.roll(series["a"], 5) + rng.normal(scale=0.05, size=length)
+    collection["e"] = rng.uniform(-1.0, 1.0, length)
+    with tempfile.TemporaryDirectory(prefix="tycoslint-sanitize-store-") as tmp:
+        store = SeriesStore.write(Path(tmp) / "store", collection)
+        report = cascade_scan(
+            store.series(),
+            config,
+            n_jobs=n_jobs,
+            force_parallel=n_jobs > 1,
+            store_path=store.path,
+            screen_window=120,
+            screen_block=3 if n_jobs > 1 else 1,
+        )
+        section = _report_section(report)
+    section["ledger"] = [
+        report.pairs_screened,
+        report.pairs_pruned_fft,
+        report.pairs_pruned_nmi,
+        report.pairs_searched,
+    ]
+    return section
 
 
 def canonical_bytes(payload: Dict[str, Any]) -> bytes:
@@ -319,18 +374,22 @@ def run_matrix(
                 )[:40]
             )
 
-    # The scan has no segment dependence: one reference across all runs.
-    scan_reference_key = (SEGMENT_CLASSES[0], *VARIANTS[0])
-    scan_reference = json.loads(payloads[scan_reference_key])["scan"]
+    # The scan and the cascade have no segment dependence: one reference
+    # across all runs.
+    reference_key = (SEGMENT_CLASSES[0], *VARIANTS[0])
+    reference_payload = json.loads(payloads[reference_key])
     for key, raw in payloads.items():
-        scan = json.loads(raw)["scan"]
-        lines = field_diff(scan_reference, scan, prefix="$.scan")
-        if lines:
-            problems.append(
-                f"scan mismatch: {_variant_name(*scan_reference_key)} vs "
-                f"{_variant_name(*key)}"
+        payload = json.loads(raw)
+        for section in ("scan", "cascade"):
+            lines = field_diff(
+                reference_payload[section], payload[section], prefix=f"$.{section}"
             )
-            problems.extend("  " + line for line in lines[:40])
+            if lines:
+                problems.append(
+                    f"{section} mismatch: {_variant_name(*reference_key)} vs "
+                    f"{_variant_name(*key)}"
+                )
+                problems.extend("  " + line for line in lines[:40])
     return not problems, problems
 
 
