@@ -9,8 +9,6 @@
 * :mod:`repro.analysis.multiscale` -- coarse-to-fine search: locate
   structure on a PAA-downsampled level, refine only the promising cells
   at full resolution.
-* :mod:`repro.analysis.chunked` -- chunked search over series too long for
-  one in-memory pass.
 * :mod:`repro.analysis.cascade` -- all-pairs prescreen cascade (FFT +
   coarse-NMI screens before any KSG estimate) and the ``tycos-scan``
   command-line tool.
@@ -21,13 +19,6 @@
 """
 
 from repro.analysis.cascade import cascade_scan, coarse_nmi_score, fft_screen_score
-
-from repro.analysis.chunked import (
-    ChunkedResult,
-    chunk_pair,
-    default_chunk_overlap,
-    search_chunked,
-)
 from repro.analysis.consolidate import consolidate_windows
 from repro.analysis.csvio import read_csv_series
 from repro.analysis.inspect import WindowInspection, ascii_scatter, inspect_window
@@ -35,7 +26,6 @@ from repro.analysis.pairwise import (
     PairFailure,
     PairFinding,
     PairwiseReport,
-    prefilter_score,
     scan_pairs,
 )
 from repro.analysis.multiscale import search_multiscale
@@ -56,17 +46,12 @@ __all__ = [
     "PairwiseReport",
     "PairFinding",
     "PairFailure",
-    "prefilter_score",
     "cascade_scan",
     "coarse_nmi_score",
     "fft_screen_score",
     "SeriesStore",
     "search_segmented",
     "search_multiscale",
-    "search_chunked",
-    "chunk_pair",
-    "default_chunk_overlap",
-    "ChunkedResult",
     "read_csv_series",
     "consolidate_windows",
     "inspect_window",

@@ -20,9 +20,7 @@ cost and most pairs are obviously unrelated.  This module prunes pairs
    with scores bit-identical to calling :func:`fft_screen_score` per
    pair, at every block size and worker count.
 2. **Coarse NMI screen** (:func:`coarse_nmi_score`): the repository's
-   one coarse-NMI filtering mechanism (formerly
-   ``pairwise.prefilter_score``, which now wraps this), run only on
-   stage-1 survivors.
+   one coarse-NMI filtering mechanism, run only on stage-1 survivors.
 3. **Full TYCOS search**: :func:`repro.analysis.pairwise.scan_pairs`
    (serial or pooled) on pairs that passed both screens, in the
    original pair order.
@@ -88,11 +86,11 @@ def coarse_nmi_score(
 ) -> float:
     """A cheap relatedness score: best normalized MI over coarse probes.
 
-    The cascade's stage-2 screen (and the implementation behind the
-    deprecated :func:`repro.analysis.pairwise.prefilter_score` wrapper).
-    Not a substitute for the search -- it only sees a few window
-    positions -- but a pair whose every probe is flat noise is unlikely
-    to reward a full TYCOS run.  When ``td_max`` is positive every delay
+    The cascade's stage-2 screen and the pre-filter of
+    :func:`repro.analysis.pairwise.scan_pairs`.  Not a substitute for
+    the search -- it only sees a few window positions -- but a pair
+    whose every probe is flat noise is unlikely to reward a full TYCOS
+    run.  When ``td_max`` is positive every delay
     in ``[-td_max, td_max]`` is probed at each position, because a
     lagged coupling carries *no* aligned information at all.
 
@@ -104,8 +102,12 @@ def coarse_nmi_score(
         td_max: largest |delay| to probe.
 
     Returns:
-        The maximum normalized MI over all probes.
+        The maximum normalized MI over all probes, or ``inf`` when either
+        series holds a non-finite sample: the screen abstains and the
+        search reports the pair's failure.
     """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return float("inf")
     n = min(x.size, y.size)
     if n < probe + td_max:
         return normalized_mi(x[:n], y[:n]) if n >= 8 else 0.0
@@ -145,11 +147,14 @@ def fft_screen_score(
 
     Returns:
         The largest |r| either proxy found, or ``inf`` when the series
-        are too short for any window to fit -- an abstaining screen must
-        pass the pair, never prune it.
+        are too short for any window to fit or either holds a non-finite
+        sample -- an abstaining screen must pass the pair, never prune
+        it.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return float("inf")
     m = window
     best = 0.0
     fitted = False
@@ -362,7 +367,7 @@ def cascade_scan(
             windows suppress the spurious-maximum noise floor of the
             screen (it shrinks like ``sqrt(log(K)/m)``) at the cost of
             diluting couplings much shorter than the window; see GUIDE
-            §14 for tuning.
+            §13 for tuning.
         engine: optional preconfigured engine for stage 3.
         n_jobs: worker processes for both the stage-1 screen blocks and
             the stage-3 searches (see
@@ -578,8 +583,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--n-jobs", type=int, default=1,
         help="worker processes for the full searches (-1: all cores)",
     )
-    parser.add_argument("--backend", choices=["auto", "numpy", "numba"], default="numpy")
-    parser.add_argument("--precision", choices=["float64", "float32"], default="float64")
     args = parser.parse_args(argv)
 
     config = TycosConfig(
@@ -591,8 +594,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         jitter=args.jitter,
         significance_permutations=args.permutations,
         seed=args.seed,
-        backend=args.backend,
-        precision=args.precision,
     )
 
     from repro.analysis.csvio import read_csv_series

@@ -98,8 +98,6 @@ def _build_config(args: argparse.Namespace) -> TycosConfig:
         n_segments=args.n_segments,
         coarse_factor=args.coarse_factor,
         refine_margin=args.refine_margin,
-        backend=args.backend,
-        precision=args.precision,
     )
 
 
@@ -178,20 +176,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="full-resolution samples added around each coarse hit before "
              "refinement (default: s_max + td_max, one maximal window "
              "footprint)",
-    )
-    parser.add_argument(
-        "--backend", choices=["auto", "numpy", "numba"], default="numpy",
-        help="kernel engine for the KSG hot loops: numpy keeps the legacy "
-             "vectorized paths (default), numba requests the compiled "
-             "canonical kernels (served by their bit-identical numpy "
-             "reference when numba is unavailable), auto compiles when "
-             "fully available",
-    )
-    parser.add_argument(
-        "--precision", choices=["float64", "float32"], default="float64",
-        help="kernel floating-point tier: float32 prunes neighbor "
-             "candidates in float32 and re-ranks them in float64 "
-             "(tolerance-gated against float64; see docs/GUIDE.md)",
     )
     parser.add_argument(
         "--profile", action="store_true",

@@ -160,7 +160,6 @@ def search_multiscale(
             use_noise=engine.use_noise,
             use_incremental=engine.use_incremental,
             overlap_policy=engine.overlap_policy,
-            batched_scoring=engine.batched_scoring,
         )
         return flat.search(x, y, n_segments=segments, n_jobs=n_jobs)
 

@@ -16,7 +16,6 @@ pairs is quadratic in the number of sensors.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import (
@@ -35,7 +34,6 @@ from repro._types import FloatArray
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos, TycosResult
 from repro.experiments.reporting import format_table, title
-from repro.mi.backends.dispatch import backend_metadata
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner imports
     # the parallel module, which imports this one, so the runtime imports
@@ -48,7 +46,6 @@ __all__ = [
     "PairwiseReport",
     "scan_pairs",
     "resolve_plan",
-    "prefilter_score",
     "timed",
 ]
 
@@ -113,10 +110,8 @@ class PairwiseReport:
     ``notes`` records execution advisories that don't affect the results
     themselves -- e.g. that a parallel request was served serially on a
     single-core host -- so a scan's performance is attributable from the
-    report alone.  ``metadata`` records the execution environment of the
-    scan (kernel backend, precision tier, numba version) so a saved report
-    states *how* its numbers were produced; see
-    :func:`repro.mi.backends.dispatch.backend_metadata` for the keys.
+    report alone.  ``metadata`` records the search plan a planned scan
+    ran (``plan`` / ``plan_fingerprint``) and is empty otherwise.
 
     The ``pairs_*`` counters are the pruning ledger of a cascade scan
     (:func:`repro.analysis.cascade.cascade_scan`): how many pairs the
@@ -197,50 +192,6 @@ class PairwiseReport:
             title("Pairwise correlation scan")
             + "\n" + body + skipped + failed + cascade + notes + timings
         )
-
-
-def prefilter_score(
-    x: FloatArray,
-    y: FloatArray,
-    probe: int = 128,
-    stride: int = 3,
-    td_max: int = 0,
-) -> float:
-    """A cheap relatedness score: best normalized MI over coarse probes.
-
-    .. deprecated:: PR 8
-        This is now a thin wrapper over
-        :func:`repro.analysis.cascade.coarse_nmi_score`, the cascade's
-        stage-2 screen -- the one coarse-NMI filtering mechanism in the
-        repository.  Call that directly in new code; this alias stays for
-        compatibility, returns identical values, and emits a
-        ``DeprecationWarning`` on every call.
-
-    Not a substitute for the search -- it only sees a few window positions
-    -- but a pair whose every probe is flat noise is unlikely to reward a
-    full TYCOS run.  When ``td_max`` is positive every delay in
-    ``[-td_max, td_max]`` is probed at each position, because a lagged
-    coupling carries *no* aligned information at all.
-
-    Args:
-        x: first series.
-        y: second series.
-        probe: probe window size.
-        stride: number of probe positions (evenly spaced).
-        td_max: largest |delay| to probe.
-
-    Returns:
-        The maximum normalized MI over all probes.
-    """
-    from repro.analysis.cascade import coarse_nmi_score
-
-    warnings.warn(
-        "prefilter_score is deprecated; call "
-        "repro.analysis.cascade.coarse_nmi_score instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return coarse_nmi_score(x, y, probe=probe, stride=stride, td_max=td_max)
 
 
 def _evaluate_pair(
@@ -341,8 +292,9 @@ def scan_pairs(
         config: search parameters applied to every pair.
         pairs: explicit (source, target) pairs; default: all unordered
             combinations of the collection's names.
-        prefilter_threshold: skip pairs whose :func:`prefilter_score` falls
-            below this (0 disables the pre-filter).
+        prefilter_threshold: skip pairs whose
+            :func:`repro.analysis.cascade.coarse_nmi_score` falls below
+            this (0 disables the pre-filter).
         engine: optional preconfigured engine (default: TYCOS_LMN).
         n_jobs: worker processes.  ``None`` or ``1`` scans serially in this
             process; ``-1`` uses every available core; ``N > 1`` fans the
@@ -401,7 +353,7 @@ def scan_pairs(
             plan=resolved,
         )
 
-    report = PairwiseReport(metadata=backend_metadata(config.backend, config.precision))
+    report = PairwiseReport()
     context: Optional["ExecutionContext"] = None
     if resolved is not None:
         from repro.analysis.planner import ExecutionContext

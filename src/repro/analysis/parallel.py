@@ -52,7 +52,6 @@ from repro.analysis.pairwise import PairFailure, PairwiseReport, _evaluate_pair
 from repro.analysis.store import SeriesStore
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos
-from repro.mi.backends.dispatch import backend_metadata
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard: the planner imports
     # this module for its pool transport, so plan types are annotation-only
@@ -475,7 +474,7 @@ def scan_pairs_parallel(
         for index, tag, payload in chunk_result:
             slots[index] = (tag, payload)
 
-    report = PairwiseReport(metadata=backend_metadata(config.backend, config.precision))
+    report = PairwiseReport()
     if plan is not None:
         report.metadata["plan"] = plan.spec()
         report.metadata["plan_fingerprint"] = plan.fingerprint()

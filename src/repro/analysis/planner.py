@@ -706,11 +706,10 @@ class ExecutionContext:
     context memoizes everything that is pair-independent -- the parsed
     stage tree and the derived engines (segment, refinement, coarse) --
     so survivors after the first pay only the search itself.  Scorers
-    and their distance workspaces bind the pair's samples and are
-    rebuilt per pair by construction; what *is* shared across pairs
-    (the process-wide digamma table, compiled kernels) already lives in
-    process-wide caches.  Reusing a context never changes results: every
-    memoized object is a pure function of the plan and the config.
+    bind the pair's samples and are rebuilt per pair by construction;
+    what *is* shared across pairs (the digamma table) already lives in
+    a process-wide cache.  Reusing a context never changes results:
+    every memoized object is a pure function of the plan and the config.
     """
 
     def __init__(self) -> None:
@@ -735,7 +734,6 @@ class ExecutionContext:
             parent.use_noise,
             parent.use_incremental,
             parent.overlap_policy,
-            parent.batched_scoring,
         )
         engine = self._engines.get(key)
         if engine is None:
@@ -757,7 +755,6 @@ def _segment_engine(engine: Tycos) -> Tycos:
         use_noise=engine.use_noise,
         use_incremental=engine.use_incremental,
         overlap_policy=engine.overlap_policy,
-        batched_scoring=engine.batched_scoring,
     )
 
 
@@ -777,7 +774,6 @@ def _refine_engine(engine: Tycos) -> Tycos:
         use_noise=engine.use_noise,
         use_incremental=engine.use_incremental,
         overlap_policy=engine.overlap_policy,
-        batched_scoring=engine.batched_scoring,
     )
 
 
@@ -1084,7 +1080,6 @@ def _run_coarsen_node(
             use_noise=engine.use_noise,
             use_incremental=engine.use_incremental,
             overlap_policy=engine.overlap_policy,
-            batched_scoring=engine.batched_scoring,
         )
 
     if context is not None:

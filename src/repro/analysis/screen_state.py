@@ -42,7 +42,8 @@ and block size (TY121 gate, asserted by the
 tier-1 suite and by the bench before any speedup is recorded).  A
 geometry the reference would abstain on (window < 2, series shorter
 than the window) abstains here identically: every score is ``inf`` and
-no pair is pruned.
+no pair is pruned.  So does a pair with a non-finite sample in either
+series: its state is all NaN and its score ``inf``.
 """
 
 from __future__ import annotations
@@ -241,7 +242,8 @@ def build_screen_state(values: FloatArray, geometry: ScreenGeometry) -> SeriesSc
 
     Returns:
         The series' :class:`SeriesScreenState` (empty placeholders when
-        the geometry abstains).
+        the geometry abstains; all NaN when the series holds a
+        non-finite sample, which makes every pair it joins abstain).
     """
     series = np.asarray(values, dtype=np.float64).ravel()
     if series.size != geometry.length:
@@ -250,6 +252,10 @@ def build_screen_state(values: FloatArray, geometry: ScreenGeometry) -> SeriesSc
         )
     if geometry.abstains:
         return _empty_state(geometry)
+    if not np.isfinite(series).all():
+        # An all-NaN state marks the series for batched_screen_scores, and
+        # NaN arithmetic raises no floating-point warnings, unlike inf.
+        series = np.full(geometry.length, np.nan)
     n, m = geometry.length, geometry.window
 
     # -- windowed-PCC band blocks (sliding_pcc_band's construction) ---- #
@@ -433,10 +439,18 @@ def batched_screen_scores(
         One score per pair, in input order, each bit-identical to
         ``fft_screen_score(series_i, series_j, geometry.window,
         geometry.td_max, geometry.mass_probes)`` -- including the
-        ``inf`` abstention when the geometry fits no window.
+        ``inf`` abstention when the geometry fits no window or either
+        series holds a non-finite sample.
     """
     if geometry.abstains or not pair_indices:
         return [float("inf")] * len(pair_indices)
+    # build_screen_state fills a non-finite series' state with NaN, so
+    # the first sample of its delay-0 band row marks it.
+    finite: Dict[int, bool] = {}
+    for pair in pair_indices:
+        for k in pair:
+            if k not in finite:
+                finite[k] = not np.isnan(states[k].xs[geometry.td_max, 0])
     n, m = geometry.length, geometry.window
     rows, out_w = geometry.rows, geometry.out_width
     probes, bins = geometry.mass_probes, geometry.spectrum_bins
@@ -521,7 +535,10 @@ def batched_screen_scores(
             maxs[lo:hi][degenerate] = flat
 
     scores: List[float] = []
-    for b in range(block):
+    for b, (i, j) in enumerate(pair_indices):
+        if not (finite[i] and finite[j]):
+            scores.append(float("inf"))
+            continue
         best = float(pcc_best[b])
         # The reference's Python-scalar tail, probe by probe; max()
         # ignores NaN exactly as the per-pair accumulation does.

@@ -58,7 +58,9 @@ __all__ = [
 STORE_SCHEMA = "tycos-store/1"
 
 #: Screen-state cache schema identifier; bump on any layout change.
-SCREEN_SCHEMA = "tycos-screen/1"
+#: Version 2: a series with a non-finite sample is cached as an all-NaN
+#: state (version-1 caches kept its finite samples).
+SCREEN_SCHEMA = "tycos-screen/2"
 
 #: File names inside a store directory (format contract, see TY116).
 MANIFEST_FILENAME = "manifest.json"

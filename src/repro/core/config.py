@@ -14,12 +14,6 @@ from typing import Any, List, Optional, Tuple
 
 __all__ = ["TycosConfig", "ENERGY_CONFIG", "SMARTCITY_CONFIG"]
 
-# Kept as literals (mirrored by repro.mi.backends.dispatch) so the config
-# layer does not import the backend machinery it merely selects.
-_BACKENDS = ("auto", "numpy", "numba")
-_PRECISIONS = ("float64", "float32")
-
-
 @dataclass(frozen=True)
 class TycosConfig:
     """All knobs of a TYCOS search.
@@ -53,19 +47,6 @@ class TycosConfig:
             memo table.  The table is an LRU: long multi-restart searches
             revisit mostly *recent* windows, so a generous cap keeps the
             hit rate intact while bounding memory on big inputs.
-        use_digamma_table: serve every digamma evaluation in the KSG kernel
-            from the process-wide lookup table
-            (:func:`repro.mi.digamma.shared_digamma_table`).  Table entries
-            are exact scipy evaluations, so results are bit-identical either
-            way; the switch exists so benchmarks can measure the table
-            against direct scipy calls.  Memory: one float64 per integer
-            ever seen (rounded up to a power of two), shared process-wide.
-        use_sorted_marginals: reuse the incrementally maintained
-            :class:`repro.mi.neighbors.MarginalIndex` projections of the
-            sliding engine (Lemmas 5/6) for KSG marginal counts instead of
-            re-sorting both axes per estimate.  Counts are exactly equal
-            either way.  Memory: two sorted float64 copies of the live
-            engine window.
         n_segments: number of timeline segments a single-pair search is
             sharded into (:mod:`repro.analysis.segmented`).  1 (the
             default) keeps the classic whole-series restart loop; larger
@@ -130,21 +111,6 @@ class TycosConfig:
             only mean fewer, longer pool tasks.  Block boundaries never
             change results: batched scores are bit-identical to the
             per-pair screen at every block size.
-        backend: which kernel engine serves the KSG hot loops
-            (:mod:`repro.mi.backends`).  ``"numpy"`` (the default) keeps
-            the legacy vectorized paths bit-for-bit unchanged;
-            ``"numba"`` requests the compiled canonical kernels (served
-            by their bit-identical numpy reference when numba is absent
-            or a kernel fails to compile); ``"auto"`` uses the compiled
-            kernels when fully available and the legacy paths otherwise.
-        precision: floating-point tier of the backend kernels.
-            ``"float64"`` (the default) is exact; ``"float32"`` is an
-            opt-in bandwidth optimization that prunes neighbor
-            candidates in float32 and re-ranks them in float64, so radii
-            and marginal counts stay float64 quantities (tolerance-gated
-            against float64 on the tracked workloads).  Any backend may
-            combine with it; ``backend="numpy"`` with
-            ``precision="float32"`` runs the numpy *canonical* kernels.
     """
 
     sigma: float = 0.3
@@ -161,8 +127,6 @@ class TycosConfig:
     seed: int = 0
     significance_permutations: int = 0
     cache_capacity: int = 100_000
-    use_digamma_table: bool = True
-    use_sorted_marginals: bool = True
     n_segments: int = 1
     segment_margin: Optional[int] = None
     coarse_factor: int = 1
@@ -172,16 +136,8 @@ class TycosConfig:
     init_delay_step: Optional[int] = None
     screen_margin: float = 0.25
     screen_block: int = 256
-    backend: str = "numpy"
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
-        if self.precision not in _PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {_PRECISIONS}, got {self.precision!r}"
-            )
         if self.init_delay_step is not None and self.init_delay_step < 1:
             raise ValueError(f"init_delay_step must be >= 1, got {self.init_delay_step}")
         if self.significance_permutations < 0:

@@ -163,12 +163,10 @@ class Tycos:
         use_incremental: enable the Section-7 incremental MI computation
             (the "M" in LM/LMN).
         overlap_policy: how the result set resolves overlapping windows.
-        batched_scoring: score each delta-neighborhood ring through one
-            batched :meth:`BatchScorer.value_many` call (equal-size
-            neighbors of any delay share one stacked numpy pass) instead
-            of one scorer call per candidate.  Scores and results are
-            identical either way; the flag exists so benchmarks can
-            measure the batched kernel against the scalar path.
+
+    Each delta-neighborhood ring and each seeding delay grid is scored
+    through one batched :meth:`BatchScorer.value_many` call, so
+    equal-size windows of any delay share one stacked numpy pass.
     """
 
     def __init__(
@@ -177,13 +175,11 @@ class Tycos:
         use_noise: bool = True,
         use_incremental: bool = True,
         overlap_policy: OverlapPolicy = OverlapPolicy.CONTAINMENT,
-        batched_scoring: bool = True,
     ) -> None:
         self.config = config
         self.use_noise = use_noise
         self.use_incremental = use_incremental
         self.overlap_policy = overlap_policy
-        self.batched_scoring = batched_scoring
 
     @property
     def name(self) -> str:
@@ -425,11 +421,8 @@ class Tycos:
                 # adjacent windows instead of ping-ponging across the ring.
                 nbs.sort(key=lambda nb: (nb.window.delay, nb.window.start, nb.window.end))
                 score_started = time.perf_counter()
-                if self.batched_scoring:
-                    ring = [nb.window for nb in nbs]
-                    scored = list(zip(ring, scorer.value_many(ring)))
-                else:
-                    scored = [(nb.window, scorer.value(nb.window)) for nb in nbs]
+                ring = [nb.window for nb in nbs]
+                scored = list(zip(ring, scorer.value_many(ring)))
                 stats.add_phase("scoring", time.perf_counter() - score_started)
                 return scored
 
@@ -507,10 +500,7 @@ class Tycos:
         ]
         if not candidates:
             return None
-        if self.batched_scoring:
-            values = scorer.value_many(candidates)
-        else:
-            values = [scorer.value(cand) for cand in candidates]
+        values = scorer.value_many(candidates)
         best: Optional[TimeDelayWindow] = None
         best_value = -np.inf
         for cand, value in zip(candidates, values):

@@ -23,10 +23,6 @@ quantify statistical dependence between two windows of time series data:
   every estimator draws from (the only sanctioned scipy digamma call site).
 * :mod:`repro.mi.kdtree` -- the k-d tree neighbor backend the paper's
   Lemma-2 analysis invokes (Bentley 1975).
-* :mod:`repro.mi.backends` -- optional compiled (numba) kernel backend
-  behind the bit-exactness gate, selected via
-  :func:`repro.mi.backends.dispatch.get_kernels`; the numba import is
-  lazy, so the default numpy path never pays for the accelerator.
 * :mod:`repro.mi.histogram` / :mod:`repro.mi.kde` -- the classical MI
   estimators the paper's Section 3.1 compares KSG against.
 """
@@ -43,7 +39,6 @@ from repro.mi.mixture import mix_samples, theorem61_gap
 from repro.mi.neighbors import (
     GridIndex,
     MarginalIndex,
-    PairDistanceWorkspace,
     chebyshev_knn_bruteforce,
     chebyshev_knn_grid,
     marginal_counts,
@@ -63,7 +58,6 @@ __all__ = [
     "KDTree",
     "chebyshev_knn_kdtree",
     "GridIndex",
-    "PairDistanceWorkspace",
     "chebyshev_knn_bruteforce",
     "chebyshev_knn_grid",
     "marginal_counts",

@@ -144,7 +144,7 @@ def _ksg_same_size(xy: FloatArray, k: int) -> FloatArray:
     inside = xy[..., None, :] >= lower[..., :, None]
     inside &= xy[..., None, :] <= upper[..., :, None]
     counts = inside.sum(axis=-1) - 1
-    np.maximum(counts, 1, out=counts)  # the psi(0) guard of mi_from_counts
+    np.maximum(counts, 1, out=counts)  # the psi(0) guard of KSGEstimator.mi_from_geometry
 
     # -- Eq. (2): psi(k) - 1/k - <psi(n_x) + psi(n_y)> + psi(m) ----------- #
     table = shared_digamma_table().prefix(m)

@@ -27,12 +27,11 @@ __all__ = ["DigammaTable", "digamma_direct", "shared_digamma_table"]
 
 
 def digamma_direct(values: AnyArray) -> AnyArray:
-    """Direct scipy digamma evaluation (the reference / ablation path).
+    """Direct scipy digamma evaluation (the reference path).
 
-    Exists so estimator code that must *bypass* the table (e.g. the
-    ``use_digamma_table=False`` benchmark ablation, or non-integer
-    arguments) still routes through this module, keeping tycoslint rule
-    TY007 exception-free.
+    Exists so code that must *bypass* the table (test oracles, benchmark
+    comparisons, non-integer arguments) still routes through this module,
+    keeping tycoslint rule TY007 exception-free.
     """
     return _scipy_digamma(values)
 
@@ -73,9 +72,7 @@ class DigammaTable:
         """A read-only array covering at least ``digamma(1..n)``.
 
         The returned array may be longer than ``n``; callers index it as
-        ``prefix(n)[i - 1]`` for any ``1 <= i <= n``.  This is the shape
-        :meth:`repro.mi.ksg.KSGEstimator.mi_from_geometry` accepts as its
-        ``digamma_table`` argument.
+        ``prefix(n)[i - 1]`` for any ``1 <= i <= n``.
         """
         if n > self._table.size:
             grown = self._table.size
@@ -83,27 +80,6 @@ class DigammaTable:
                 grown *= 2
             self._table = _evaluate(grown)
         return self._table
-
-    def kernel_view(self, n: int) -> FloatArray:
-        """A stable, contiguous, read-only view for kernel hand-off.
-
-        Backend kernels hold the returned array across many calls, so
-        its guarantees are part of the dispatch contract:
-
-        * contiguous C-order float64, read-only (``writeable`` false) --
-          nothing needs to be copied per kernel call;
-        * *stable under growth*: :meth:`prefix` growth allocates a fresh
-          array and rebinds ``self._table``, so an array handed out here
-          is never reallocated or mutated afterwards.  A scorer that
-          received a view mid-search keeps indexing valid ``digamma``
-          values for every ``i <= n`` it was sized for, even if the
-          shared table has since doubled.
-        """
-        table = self.prefix(n)
-        # _evaluate() already returns a C-contiguous read-only array;
-        # assert rather than copy so the no-copy guarantee is machine-checked.
-        assert table.flags["C_CONTIGUOUS"] and not table.flags.writeable
-        return table
 
     def value(self, n: int) -> float:
         """``digamma(n)`` for a positive integer ``n``."""

@@ -20,23 +20,20 @@ values; callers that need a dependence score should clamp (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from repro import contracts
-from repro._types import AnyArray, FloatArray, IntArray
-from repro.mi.digamma import digamma_direct, shared_digamma_table
+from repro._types import AnyArray, FloatArray
+from repro.mi.digamma import shared_digamma_table
 from repro.mi.neighbors import (
     KnnResult,
     chebyshev_knn_bruteforce,
     chebyshev_knn_grid,
     marginal_counts,
 )
-
-if TYPE_CHECKING:
-    from repro.mi.backends.dispatch import KernelSet
 
 __all__ = ["KSGEstimator", "ksg_mi"]
 
@@ -56,25 +53,15 @@ class KSGEstimator:
         backend: neighbor search backend, one of ``"bruteforce"``, ``"grid"``,
             ``"kdtree"`` or ``"auto"`` (size-based choice between the first
             two; the k-d tree is opt-in, best under heavy clustering).
-        use_digamma_table: serve digamma evaluations from the process-wide
-            :func:`repro.mi.digamma.shared_digamma_table` instead of calling
-            scipy per estimate.  Table entries are exact scipy evaluations,
-            so this never changes an estimate; the switch exists only so
-            benchmarks can measure the table against direct calls.
-        kernels: optional resolved backend kernel suite
-            (:func:`repro.mi.backends.dispatch.get_kernels`).  When set,
-            whole-window estimates use the fused canonical kernels and
-            marginal counts route through the kernel suite; counts and
-            radii semantics are unchanged (canonical selection equals the
-            legacy selection wherever distances are tie-free).  ``None``
-            (the default) keeps the legacy vectorized paths untouched.
+
+    Digamma values always come from the process-wide
+    :func:`repro.mi.digamma.shared_digamma_table`, whose entries are exact
+    scipy evaluations.
     """
 
     k: int = 4
     algorithm: int = 2
     backend: str = "auto"
-    use_digamma_table: bool = True
-    kernels: Optional["KernelSet"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -93,7 +80,7 @@ class KSGEstimator:
     def _knn(self, x: FloatArray, y: FloatArray, k: int) -> KnnResult:
         backend = self.resolved_backend(x.size)
         if backend == "grid":
-            return chebyshev_knn_grid(x, y, k, kernels=self.kernels)
+            return chebyshev_knn_grid(x, y, k)
         if backend == "kdtree":
             from repro.mi.kdtree import chebyshev_knn_kdtree
 
@@ -129,15 +116,6 @@ class KSGEstimator:
         if contracts.checks_enabled():
             contracts.check_series_shape(x, y, where="KSGEstimator.mi")
         k = self.effective_k(m)
-        if (
-            self.kernels is not None
-            and self.algorithm == 2
-            and self.resolved_backend(m) == "bruteforce"
-        ):
-            # Fused canonical kernel: k-NN radii and marginal counts in
-            # one pass, no O(m^2) workspace materialized in Python.
-            n_x, n_y = self.kernels.window_counts(x, y, k)
-            return self.mi_from_counts(n_x, n_y, k, m)
         knn = self._knn(x, y, k)
         return self.mi_from_geometry(x, y, knn, k)
 
@@ -147,107 +125,45 @@ class KSGEstimator:
         y: FloatArray,
         knn: KnnResult,
         k: int,
-        digamma_table: Optional[FloatArray] = None,
         sorted_x: Optional[FloatArray] = None,
         sorted_y: Optional[FloatArray] = None,
     ) -> float:
         """Finish an MI estimate given precomputed k-NN geometry.
 
         Split out so the incremental engine (Section 7) can reuse its
-        maintained neighbor sets and the batched ring scorer can amortize
-        one neighbor workspace across a whole delta-neighborhood.
+        maintained neighbor sets and sorted marginal projections.
 
         Args:
             x: window samples of the first series.
             y: paired window samples of the second series.
             knn: precomputed neighbor geometry for the window.
             k: neighbor count the geometry was built with.
-            digamma_table: optional precomputed ``digamma(i)`` for
-                ``i = 1..len(table)`` (``table[i - 1] == digamma(i)``,
-                length >= ``m``); every digamma argument here is a positive
-                integer ``<= m``, so a caller evaluating many windows can
-                share one table.  The table values are exact scipy
-                evaluations, so supplying it never changes the estimate.
-                When omitted, the process-wide shared table is used unless
-                ``use_digamma_table`` is off.
             sorted_x: optional ascending float64 realization of exactly the
                 multiset of ``x`` (see :func:`marginal_counts` presorted);
                 skips the per-call marginal sort without changing counts.
             sorted_y: same for ``y``.
         """
-        if self.algorithm == 2:
-            n_x = self._marginal(x, knn.eps_x, False, sorted_x)
-            n_y = self._marginal(y, knn.eps_y, False, sorted_y)
-        else:
-            n_x = self._marginal(x, knn.kth_distance, True, sorted_x)
-            n_y = self._marginal(y, knn.kth_distance, True, sorted_y)
-        return self.mi_from_counts(n_x, n_y, k, x.size, digamma_table=digamma_table)
-
-    def _marginal(
-        self,
-        values: FloatArray,
-        radii: FloatArray,
-        strict: bool,
-        presorted: Optional[FloatArray],
-    ) -> IntArray:
-        if self.kernels is not None:
-            return self.kernels.marginal(values, radii, strict, presorted)
-        return marginal_counts(values, radii, strict=strict, presorted=presorted)
-
-    def mi_from_counts(
-        self,
-        n_x: IntArray,
-        n_y: IntArray,
-        k: int,
-        m: int,
-        digamma_table: Optional[FloatArray] = None,
-    ) -> float:
-        """Finish an MI estimate from raw marginal strip counts.
-
-        The digamma gather and the pairwise-sum reduction stay in numpy
-        regardless of the active kernel backend: the kernels emit only
-        exact integer counts, so the floating-point summation order --
-        and hence the estimate -- is bit-identical across engines.
-
-        ``n_x``/``n_y`` are raw :func:`marginal_counts` outputs for the
-        algorithm configured on this estimator (loose radii counts for
-        algorithm 2, strict kth-distance counts for algorithm 1).
-        """
-        if digamma_table is None and self.use_digamma_table:
-            digamma_table = shared_digamma_table().prefix(m)
-
+        m = x.size
+        # Every digamma argument is a positive integer <= m.
+        table = shared_digamma_table().prefix(m)
+        psi_k = float(table[k - 1])
+        psi_m = float(table[m - 1])
         if self.algorithm == 2:
             # Eq. (2): counts include the k neighbors, so n >= k >= 1 except
             # in degenerate duplicate layouts; guard psi(0).
-            n_x = np.maximum(n_x, 1)
-            n_y = np.maximum(n_y, 1)
-            if digamma_table is not None:
-                psi_sum = digamma_table[n_x - 1] + digamma_table[n_y - 1]
-                psi_k = float(digamma_table[k - 1])
-                psi_m = float(digamma_table[m - 1])
-            else:
-                psi_sum = np.asarray(
-                    digamma_direct(n_x) + digamma_direct(n_y), dtype=np.float64
-                )
-                psi_k = float(digamma_direct(k))
-                psi_m = float(digamma_direct(m))
+            n_x = np.maximum(marginal_counts(x, knn.eps_x, strict=False, presorted=sorted_x), 1)
+            n_y = np.maximum(marginal_counts(y, knn.eps_y, strict=False, presorted=sorted_y), 1)
+            psi_sum = table[n_x - 1] + table[n_y - 1]
             # .sum()/m is bit-identical to .mean() (numpy's _mean is
             # umr_sum over count) without the wrapper's dispatch cost.
             value = psi_k - 1.0 / k - float(psi_sum.sum() / m) + psi_m
         else:
-            if digamma_table is not None:
-                psi_sum = digamma_table[n_x] + digamma_table[n_y]
-                psi_k = float(digamma_table[k - 1])
-                psi_m = float(digamma_table[m - 1])
-            else:
-                psi_sum = np.asarray(
-                    digamma_direct(n_x + 1) + digamma_direct(n_y + 1), dtype=np.float64
-                )
-                psi_k = float(digamma_direct(k))
-                psi_m = float(digamma_direct(m))
+            n_x = marginal_counts(x, knn.kth_distance, strict=True, presorted=sorted_x)
+            n_y = marginal_counts(y, knn.kth_distance, strict=True, presorted=sorted_y)
+            psi_sum = table[n_x] + table[n_y]
             value = psi_k - float(psi_sum.sum() / m) + psi_m
         if contracts.checks_enabled():
-            contracts.check_mi_finite(float(value), where="KSGEstimator.mi_from_counts")
+            contracts.check_mi_finite(float(value), where="KSGEstimator.mi_from_geometry")
         return float(value)
 
 

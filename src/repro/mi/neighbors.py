@@ -21,14 +21,11 @@ Marginal counts are computed with sorted projections and binary search
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro._types import AnyArray, FloatArray, IntArray
-
-if TYPE_CHECKING:
-    from repro.mi.backends.dispatch import KernelSet
 
 __all__ = [
     "KnnResult",
@@ -37,7 +34,6 @@ __all__ = [
     "marginal_counts",
     "GridIndex",
     "MarginalIndex",
-    "PairDistanceWorkspace",
 ]
 
 
@@ -101,158 +97,6 @@ def chebyshev_knn_bruteforce(x: AnyArray, y: AnyArray, k: int) -> KnnResult:
     eps_x = dx[rows, neighbor_idx].max(axis=1)
     eps_y = dy[rows, neighbor_idx].max(axis=1)
     return KnnResult(kth_distance=kth_distance, eps_x=eps_x, eps_y=eps_y, indices=neighbor_idx)
-
-
-class PairDistanceWorkspace:
-    """Shared pairwise-distance workspace over the union span of windows.
-
-    The delta-neighbors probed during one LAHC ring share a delay and
-    overlap heavily, so their sample pairs are all drawn from one short
-    union sub-series.  Instead of recomputing the O(m^2) ``|dx|`` / ``|dy|``
-    broadcasts per window, this workspace computes them once over the union
-    and answers each window's k-NN query from principal submatrices.
-
-    The per-window geometry is *identical* to
-    :func:`chebyshev_knn_bruteforce`: a window's distance submatrix holds
-    exactly the values the brute-force kernel would compute (the union
-    diagonal is pre-filled with ``inf``, and every principal submatrix
-    shares that diagonal), and the selection runs on a contiguous copy so
-    even tie-breaking inside ``argpartition`` matches the scalar path.
-
-    Args:
-        x_union: x-side samples of the union span, shape ``(u,)``.
-        y_union: paired y-side samples of the union span, shape ``(u,)``.
-    """
-
-    def __init__(self, x_union: AnyArray, y_union: AnyArray) -> None:
-        x = np.asarray(x_union, dtype=np.float64).ravel()
-        y = np.asarray(y_union, dtype=np.float64).ravel()
-        if x.size != y.size:
-            raise ValueError(f"x and y must have equal length, got {x.size} and {y.size}")
-        if x.size < 2:
-            raise ValueError(f"need at least 2 samples, got {x.size}")
-        self._x = x
-        self._y = y
-        # One (3, u, u) block -- [dist, |dx|, |dy|] -- so a window's knn()
-        # can slice, copy and gather all three layers in single numpy calls
-        # instead of three.  Values are identical to the separate
-        # ``np.abs(outer difference)`` / ``np.maximum`` construction.
-        u = x.size
-        full = np.empty((3, u, u))
-        np.subtract(x[:, None], x[None, :], out=full[1])
-        np.abs(full[1], out=full[1])
-        np.subtract(y[:, None], y[None, :], out=full[2])
-        np.abs(full[2], out=full[2])
-        np.maximum(full[1], full[2], out=full[0])
-        np.fill_diagonal(full[0], np.inf)
-        self._full = full
-        self._dist = full[0]
-        self._dx = full[1]
-        self._dy = full[2]
-        # Stable ascending-value orderings of the union projections, built
-        # lazily by sorted_window() and shared by every window of the group.
-        self._order_x: Optional[IntArray] = None
-        self._order_y: Optional[IntArray] = None
-        # Shared digamma prefix, resolved on first digamma_table() call.
-        self._digamma: Optional[FloatArray] = None
-        # Row-index column reused by every knn gather (sliced per window).
-        self._rows = np.arange(self._dist.shape[0], dtype=np.intp)[:, None]
-
-    @property
-    def size(self) -> int:
-        """Number of samples in the union span."""
-        return self._dist.shape[0]
-
-    def digamma_table(self) -> FloatArray:
-        """``digamma(i)`` for ``i = 1..size`` from the process-wide table.
-
-        ``table[i - 1] == digamma(i)`` exactly (same scipy evaluation on the
-        same float64 inputs), so estimator code can gather instead of
-        re-evaluating the transcendental per window.  The returned array may
-        be longer than ``size``.  Resolved once per workspace.
-        """
-        if self._digamma is None:
-            from repro.mi.digamma import shared_digamma_table
-
-            self._digamma = shared_digamma_table().prefix(self.size)
-        return self._digamma
-
-    #: Below this window size a direct ``np.sort`` of the window beats the
-    #: O(union) mask-gather over the amortized argsort (measured: sorting
-    #: <= a few hundred float64 costs ~1-2us, the mask-gather ~5us).
-    _SORT_DIRECT_MAX = 256
-
-    def sorted_window(self, offset: int, m: int) -> Tuple[FloatArray, FloatArray]:
-        """Sorted x/y projections of the window at ``offset``, span-amortized.
-
-        Two constructions, chosen by measured cost, both returning the
-        ascending sequence of the window's float64 multiset (a sorted
-        multiset has exactly one array realization, so they are
-        elementwise identical and feed :func:`marginal_counts`
-        ``presorted=`` without changing any count):
-
-        * small windows: a direct ``np.sort`` of the window slice;
-        * large windows: the union's stable argsort is computed once (per
-          axis, lazily) and the window's projection is a boolean-mask
-          gather over it -- C loops over ``size`` elements instead of a
-          fresh ``O(m log m)`` sort per window per axis.
-        """
-        hi = offset + m
-        if m < self._SORT_DIRECT_MAX:
-            return np.sort(self._x[offset:hi]), np.sort(self._y[offset:hi])
-        if self._order_x is None or self._order_y is None:
-            self._order_x = np.argsort(self._x, kind="stable")
-            self._order_y = np.argsort(self._y, kind="stable")
-        sel_x = self._order_x[(self._order_x >= offset) & (self._order_x < hi)]
-        sel_y = self._order_y[(self._order_y >= offset) & (self._order_y < hi)]
-        return self._x[sel_x], self._y[sel_y]
-
-    def knn(
-        self, offset: int, m: int, k: int, kernels: Optional["KernelSet"] = None
-    ) -> KnnResult:
-        """k-NN geometry of the ``m``-sample window at ``offset`` in the union.
-
-        Args:
-            offset: index of the window's first sample within the union.
-            m: window size (``offset + m <= size``).
-            k: number of neighbors (``1 <= k < m``).
-            kernels: optional backend kernel suite
-                (:func:`repro.mi.backends.dispatch.get_kernels`); routes
-                the single-gather top-k through the canonical backend
-                kernel.  Distances, radii and -- on tie-free inputs --
-                the selected neighbor sets match the legacy path; only
-                the tie resolution and the row order of ``indices``
-                become the canonical (lexicographic, ascending) ones.
-
-        Returns:
-            The same :class:`KnnResult` :func:`chebyshev_knn_bruteforce`
-            would return for the extracted window.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if m <= k:
-            raise ValueError(f"need more than k={k} samples, got {m}")
-        if offset < 0 or offset + m > self.size:
-            raise ValueError(
-                f"window [{offset}, {offset + m}) exceeds union span of {self.size} samples"
-            )
-        sel = slice(offset, offset + m)
-        # Contiguous copy of all three layers at once; argpartition sees the
-        # exact buffer the scalar kernel builds (identical values *and*
-        # identical tie resolution), and one broadcast gather + one max
-        # replace three of each.
-        sub = np.ascontiguousarray(self._full[:, sel, sel])
-        if kernels is not None:
-            kth, eps_x, eps_y, indices = kernels.topk(sub[0], sub[1], sub[2], k)
-            return KnnResult(kth_distance=kth, eps_x=eps_x, eps_y=eps_y, indices=indices)
-        neighbor_idx = sub[0].argpartition(k - 1, axis=1)[:, :k]
-        gathered = sub[:, self._rows[:m], neighbor_idx].max(axis=2)
-        return KnnResult(
-            kth_distance=gathered[0],
-            eps_x=gathered[1],
-            eps_y=gathered[2],
-            indices=neighbor_idx,
-        )
 
 
 class GridIndex:
@@ -358,21 +202,10 @@ class GridIndex:
         return best_idx, best_dist
 
 
-def chebyshev_knn_grid(
-    x: AnyArray, y: AnyArray, k: int, kernels: Optional["KernelSet"] = None
-) -> KnnResult:
-    """Grid-index based k-NN search; same contract as the brute-force backend.
-
-    With a backend kernel suite the whole ring search runs inside the
-    canonical ``grid_knn`` kernel (one call for all points instead of a
-    Python loop over buckets); distances, radii and tie-free neighbor
-    sets match the legacy path.
-    """
+def chebyshev_knn_grid(x: AnyArray, y: AnyArray, k: int) -> KnnResult:
+    """Grid-index based k-NN search; same contract as the brute-force backend."""
     x, y = _validate_xy(x, y, k)
     m = x.size
-    if kernels is not None:
-        kth, eps_x, eps_y, indices = kernels.grid_knn(x, y, k)
-        return KnnResult(kth_distance=kth, eps_x=eps_x, eps_y=eps_y, indices=indices)
     index = GridIndex(x, y)
     kth_distance = np.empty(m)
     eps_x = np.empty(m)
@@ -405,8 +238,7 @@ def marginal_counts(
             when False count ``|v_j - v_i| <= r_i`` (KSG algorithm 2).
         presorted: optional ascending float64 array holding exactly the
             multiset of ``values`` (e.g. a maintained
-            :meth:`MarginalIndex.sorted_values` or a
-            :meth:`PairDistanceWorkspace.sorted_window` projection).  When
+            :meth:`MarginalIndex.sorted_values`).  When
             given, the per-call ``O(m log m)`` sort is skipped; because a
             sorted float64 multiset has exactly one array realization, the
             counts are identical to the from-scratch path.

@@ -17,7 +17,7 @@ from repro.analysis.cascade import (
     fft_screen_score,
     main,
 )
-from repro.analysis.pairwise import prefilter_score, scan_pairs
+from repro.analysis.pairwise import scan_pairs
 from repro.core.config import TycosConfig
 
 
@@ -171,10 +171,47 @@ class TestScreens:
         assert report.skipped == []
         assert report.pairs_searched == 1
 
-    def test_prefilter_score_wraps_coarse_nmi(self, rng):
-        x = np.cumsum(rng.normal(size=400))
-        y = np.roll(x, 3) + rng.normal(scale=0.1, size=400)
-        assert prefilter_score(x, y, td_max=4) == coarse_nmi_score(x, y, td_max=4)
+
+class TestNonFiniteSeries:
+    """A NaN sample makes the screens abstain, so the search reports it."""
+
+    @staticmethod
+    def _pair(nan_at):
+        rng = np.random.default_rng(5)
+        base = np.cumsum(rng.normal(size=200))
+        a = base + rng.normal(scale=0.1, size=200)
+        b = np.roll(base, 3) + rng.normal(scale=0.1, size=200)
+        b[nan_at] = np.nan
+        return a, b
+
+    @pytest.mark.parametrize("nan_at", [10, 150])
+    def test_screens_abstain_in_both_orientations(self, nan_at):
+        a, b = self._pair(nan_at)
+        assert fft_screen_score(a, b, 20, 6) == float("inf")
+        assert fft_screen_score(b, a, 20, 6) == float("inf")
+        assert coarse_nmi_score(a, b, td_max=6) == float("inf")
+        assert coarse_nmi_score(b, a, td_max=6) == float("inf")
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("nan_at", [10, 150])
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_pair_fails_instead_of_being_pruned(self, nan_at, order, n_jobs):
+        a, b = self._pair(nan_at)
+        series = {"a": a, "b": b}
+        series = {name: series[name] for name in order}
+        config = _config(significance_permutations=0)
+        report = cascade_scan(
+            series, config, screen_window=20, n_jobs=n_jobs, force_parallel=n_jobs > 1
+        )
+        reference = scan_pairs(series, config)
+        assert report.failures == reference.failures
+        assert [f.error for f in report.failures] == ["ValueError: series must be finite"]
+        assert report.skipped == []
+        assert (
+            report.pairs_pruned_fft + report.pairs_pruned_nmi + report.pairs_searched
+            == report.pairs_screened
+            == 1
+        )
 
 
 class TestCli:

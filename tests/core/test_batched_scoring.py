@@ -128,12 +128,10 @@ class TestEngineEquivalence:
         )
         batched = variant(config).search(pair.x, pair.y)
         # The reference scores every window through scalar score() calls:
-        # rings via batched_scoring=False, and the batches the noise
-        # detector and seeding issue via the scalar score_many.
+        # every batch the search issues (rings, noise probes, seeding)
+        # goes through the scalar score_many.
         monkeypatch.setattr(tycos_module, "make_scorer", _scalar_make_scorer)
-        reference = variant(config)
-        reference.batched_scoring = False
-        plain = reference.search(pair.x, pair.y)
+        plain = variant(config).search(pair.x, pair.y)
         assert batched.windows  # the pair must exercise acceptance
         assert plain.windows == batched.windows  # WindowResult: window, mi, nmi
         assert plain.stats.windows_evaluated == batched.stats.windows_evaluated

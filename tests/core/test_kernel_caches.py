@@ -1,9 +1,9 @@
 """Exact-equality tests for the MI kernel caches.
 
 Every cache of the scoring hot path -- the shared digamma table and the
-presorted/maintained marginals -- is a pure amortization: switching any
-of them off must reproduce the SAME floats, windows and counters, not
-approximately but exactly.
+presorted/maintained marginals -- is a pure amortization: the oracle
+that uses none of them (direct scipy digamma, per-window sorts) must
+reproduce the SAME floats, not approximately but exactly.
 """
 
 import numpy as np
@@ -13,6 +13,8 @@ from repro.core.config import TycosConfig
 from repro.core.thresholds import BatchScorer, IncrementalScorer
 from repro.core.tycos import Tycos
 from repro.core.window import PairView, TimeDelayWindow
+from repro.mi.digamma import digamma_direct
+from repro.mi.neighbors import chebyshev_knn_bruteforce, marginal_counts
 
 
 def _coupled_pair(n=400, lag=7, seed=9):
@@ -32,8 +34,16 @@ def _ring(rng, n, count, delay, td_max):
     return windows
 
 
-ALL_ON = dict(use_digamma_table=True, use_sorted_marginals=True)
-ALL_OFF = dict(use_digamma_table=False, use_sorted_marginals=False)
+def _oracle_mi(x, y, k):
+    """KSG Eq. (2) without any cache: direct digamma, unsorted marginals."""
+    m = x.size
+    k = min(k, m - 1)
+    knn = chebyshev_knn_bruteforce(x, y, k)
+    n_x = np.maximum(marginal_counts(x, knn.eps_x, strict=False), 1)
+    n_y = np.maximum(marginal_counts(y, knn.eps_y, strict=False), 1)
+    psi_sum = np.asarray(digamma_direct(n_x) + digamma_direct(n_y), dtype=np.float64)
+    psi_k = float(digamma_direct(k))
+    return psi_k - 1.0 / k - float(psi_sum.sum() / m) + float(digamma_direct(m))
 
 
 class TestKnobExactEquality:
@@ -44,33 +54,10 @@ class TestKnobExactEquality:
         windows = _ring(rng, len(x), 12, delay=2, td_max=6) + _ring(
             rng, len(x), 12, delay=-3, td_max=6
         )
-        fast = scorer_cls(PairView(x, y), TycosConfig(s_min=8, s_max=60, td_max=6, **ALL_ON))
-        slow = scorer_cls(PairView(x, y), TycosConfig(s_min=8, s_max=60, td_max=6, **ALL_OFF))
-        assert fast.score_many(windows) == slow.score_many(windows)
-        assert fast.evaluations == slow.evaluations
-        assert fast.cache_hits == slow.cache_hits
-
-    @pytest.mark.parametrize(
-        "knob",
-        [
-            dict(use_digamma_table=False),
-            dict(use_sorted_marginals=False),
-        ],
-    )
-    @pytest.mark.parametrize("use_incremental", [False, True])
-    def test_search_identical_with_each_cache_off(self, knob, use_incremental):
-        """Same seed => same TycosResult whether any single cache is on or off."""
-        x, y = _coupled_pair(n=320)
-        base = TycosConfig(sigma=0.3, s_min=8, s_max=48, td_max=8, jitter=1e-6, seed=2)
-        fast = Tycos(base, use_incremental=use_incremental).search(x, y)
-        slow = Tycos(base.scaled(**knob), use_incremental=use_incremental).search(x, y)
-        assert [r.window for r in fast.windows] == [r.window for r in slow.windows]
-        assert [r.mi for r in fast.windows] == [r.mi for r in slow.windows]
-        assert [r.nmi for r in fast.windows] == [r.nmi for r in slow.windows]
-        assert fast.stats.windows_evaluated == slow.stats.windows_evaluated
-        assert fast.stats.cache_hits == slow.stats.cache_hits
-        assert fast.stats.accepted_moves == slow.stats.accepted_moves
-        assert fast.stats.lahc_iterations == slow.stats.lahc_iterations
+        pair = PairView(x, y)
+        fast = scorer_cls(pair, TycosConfig(s_min=8, s_max=60, td_max=6))
+        scores = fast.score_many(windows)
+        assert [s.mi for s in scores] == [_oracle_mi(*pair.extract(w), 4) for w in windows]
 
 
 class TestWorkspaceLRU:
@@ -87,15 +74,8 @@ class TestWorkspaceLRU:
         # Every window is scored either in a stacked pass or singly.
         batched = result.stats.workspace_builds + result.stats.workspace_hits
         assert batched <= result.stats.windows_evaluated
-        scalar = Tycos(
-            config, use_incremental=False, use_noise=False, batched_scoring=False
-        ).search(x, y)
-        assert scalar.stats.workspace_builds == 0
-        assert scalar.stats.workspace_hits == 0
-
-
-class TestConfigKnobs:
-    def test_defaults_enable_every_cache(self):
-        config = TycosConfig()
-        assert config.use_digamma_table is True
-        assert config.use_sorted_marginals is True
+        # The scalar path runs no stacked pass.
+        scalar = BatchScorer(PairView(x, y), config)
+        scalar.score(TimeDelayWindow(start=20, end=60, delay=2))
+        assert scalar.workspace_builds == 0
+        assert scalar.workspace_hits == 0

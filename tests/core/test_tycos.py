@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import tycos as tycos_module
 from repro.core.config import TycosConfig
+from repro.core.thresholds import IncrementalScorer
 from repro.core.tycos import Tycos, tycos_l, tycos_lm, tycos_lmn, tycos_ln
 from repro.experiments.similarity import detects
 
@@ -103,12 +105,20 @@ class TestDeterminism:
 
 
 class TestBatchedSeeding:
-    def test_plain_variant_seeding_matches_scalar_path(self):
+    def test_plain_variant_seeding_matches_scalar_path(self, monkeypatch):
         """Batched delay-grid seeding is a pure perf change for TYCOS_L."""
         x, y = _planted_pair()
         cfg = _config()
-        batched = Tycos(cfg, use_noise=False, batched_scoring=True).search(x, y)
-        scalar = Tycos(cfg, use_noise=False, batched_scoring=False).search(x, y)
+        batched = Tycos(cfg, use_noise=False).search(x, y)
+
+        class ScalarScorer(IncrementalScorer):
+            def score_many(self, windows):
+                return [self.score(w) for w in windows]
+
+        monkeypatch.setattr(
+            tycos_module, "make_scorer", lambda pair, cfg, incremental: ScalarScorer(pair, cfg)
+        )
+        scalar = Tycos(cfg, use_noise=False).search(x, y)
         assert [(r.window, r.mi, r.nmi) for r in batched.windows] == [
             (r.window, r.mi, r.nmi) for r in scalar.windows
         ]

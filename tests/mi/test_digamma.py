@@ -6,6 +6,7 @@ from scipy.special import digamma as scipy_digamma
 
 from repro.mi.digamma import DigammaTable, digamma_direct, shared_digamma_table
 from repro.mi.ksg import KSGEstimator
+from repro.mi.neighbors import chebyshev_knn_bruteforce, marginal_counts
 
 
 def test_table_bit_matches_scipy():
@@ -46,30 +47,30 @@ def test_prefix_is_read_only():
         table.prefix(4)[0] = 0.0
 
 
-def test_kernel_view_contract():
+def test_prefix_contract():
     table = DigammaTable(initial=8)
-    view = table.kernel_view(8)
+    view = table.prefix(8)
     assert view.flags["C_CONTIGUOUS"]
     assert not view.flags.writeable
     assert np.array_equal(view[:8], scipy_digamma(np.arange(1.0, 9.0)))
 
 
-def test_kernel_view_survives_growth_unmutated():
-    """Growth never invalidates or mutates views already handed out.
+def test_prefix_survives_growth_unmutated():
+    """Growth never invalidates or mutates prefixes already handed out.
 
-    A backend kernel holds its digamma view across many scorer calls; if
-    ``prefix`` growth reallocated in place, that view would dangle or
+    An estimator may hold a prefix while another caller grows the shared
+    table; if growth reallocated in place, that prefix would dangle or
     silently change values.  Growth must instead rebind a fresh array,
     leaving the old one intact byte for byte.
     """
     table = DigammaTable(initial=8)
-    view = table.kernel_view(8)
+    view = table.prefix(8)
     snapshot = view.copy()
     table.prefix(10_000)  # forces several doublings
     assert table.size >= 10_000
-    assert np.array_equal(view, snapshot)  # old view: same values
+    assert np.array_equal(view, snapshot)  # old prefix: same values
     assert not view.flags.writeable  # ...and still read-only
-    grown = table.kernel_view(10_000)
+    grown = table.prefix(10_000)
     assert grown is not view  # growth rebound, not resized
     assert np.array_equal(grown[: view.size], snapshot)
 
@@ -97,10 +98,25 @@ def test_digamma_direct_is_plain_scipy():
     assert np.array_equal(digamma_direct(ns), scipy_digamma(ns))
 
 
+def _direct_digamma_mi(x, y, k, algorithm):
+    """KSG estimate with every digamma evaluated directly by scipy."""
+    knn = chebyshev_knn_bruteforce(x, y, k)
+    m = x.size
+    if algorithm == 2:
+        n_x = np.maximum(marginal_counts(x, knn.eps_x, strict=False), 1)
+        n_y = np.maximum(marginal_counts(y, knn.eps_y, strict=False), 1)
+        psi_sum = np.asarray(digamma_direct(n_x) + digamma_direct(n_y), dtype=np.float64)
+        psi_k = float(digamma_direct(k))
+        return psi_k - 1.0 / k - float(psi_sum.sum() / m) + float(digamma_direct(m))
+    n_x = marginal_counts(x, knn.kth_distance, strict=True)
+    n_y = marginal_counts(y, knn.kth_distance, strict=True)
+    psi_sum = np.asarray(digamma_direct(n_x + 1) + digamma_direct(n_y + 1), dtype=np.float64)
+    return float(digamma_direct(k)) - float(psi_sum.sum() / m) + float(digamma_direct(m))
+
+
 @pytest.mark.parametrize("algorithm", [1, 2])
 def test_estimator_identical_with_and_without_table(algorithm, correlated_gaussian):
     """The table never changes an estimate: exact float equality."""
     x, y = correlated_gaussian
-    on = KSGEstimator(k=4, algorithm=algorithm, use_digamma_table=True)
-    off = KSGEstimator(k=4, algorithm=algorithm, use_digamma_table=False)
-    assert on.mi(x, y) == off.mi(x, y)
+    estimator = KSGEstimator(k=4, algorithm=algorithm, backend="bruteforce")
+    assert estimator.mi(x, y) == _direct_digamma_mi(x, y, 4, algorithm)

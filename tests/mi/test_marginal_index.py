@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mi.neighbors import MarginalIndex, PairDistanceWorkspace, marginal_counts
+from repro.mi.neighbors import MarginalIndex, marginal_counts
 
 
 def test_presorted_counts_exactly_equal_scratch_path(rng):
@@ -105,20 +105,24 @@ def test_marginal_index_randomized_churn_matches_sort(ops):
                 )
 
 
-def test_workspace_sorted_window_matches_np_sort(rng):
+def test_presorted_window_counts_match_from_scratch(rng):
     x = rng.normal(size=64)
-    y = rng.normal(size=64)
-    workspace = PairDistanceWorkspace(x, y)
+    radii = np.abs(rng.normal(scale=0.3, size=64))
     for offset, m in ((0, 64), (5, 20), (40, 24), (10, 2)):
-        sorted_x, sorted_y = workspace.sorted_window(offset, m)
-        assert np.array_equal(sorted_x, np.sort(x[offset : offset + m]))
-        assert np.array_equal(sorted_y, np.sort(y[offset : offset + m]))
+        window = x[offset : offset + m]
+        for strict in (True, False):
+            assert np.array_equal(
+                marginal_counts(window, radii[:m], strict=strict, presorted=np.sort(window)),
+                marginal_counts(window, radii[:m], strict=strict),
+            )
 
 
-def test_workspace_sorted_window_with_duplicates():
+def test_presorted_window_counts_with_duplicates():
     x = np.array([2.0, 1.0, 2.0, 0.0, 1.0, 1.0])
-    y = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 0.5])
-    workspace = PairDistanceWorkspace(x, y)
-    sorted_x, sorted_y = workspace.sorted_window(1, 4)
-    assert np.array_equal(sorted_x, np.sort(x[1:5]))
-    assert np.array_equal(sorted_y, np.sort(y[1:5]))
+    window = x[1:5]
+    radii = np.array([0.0, 1.0, 0.5, 1.0])
+    for strict in (True, False):
+        assert np.array_equal(
+            marginal_counts(window, radii, strict=strict, presorted=np.sort(window)),
+            marginal_counts(window, radii, strict=strict),
+        )
